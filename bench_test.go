@@ -132,12 +132,12 @@ func BenchmarkPlatformMissionTick(b *testing.B) {
 
 // BenchmarkPlatformTickFleet measures the fleet scheduler across fleet
 // sizes, serial (Workers=1) vs pooled (Workers=0, machine-sized) vs
-// sharded (cell-sharded pipeline: per-cell physics and fused
+// sharded (split capture streams: per-cell physics and fused
 // prepare+observe on the pool, not just the monitor evaluation). The
 // sharded variant forces at least two cells so the small-fleet rows
-// measure the sharded pipeline rather than falling back to legacy; at
-// 1k and 10k UAVs it uses the production auto layout (one cell per 64
-// vehicles). Outputs are bit-identical across workers and cell counts.
+// measure the split layout rather than one cell; at 1k and 10k UAVs
+// it uses the production auto layout (one cell per 64 vehicles).
+// Outputs are bit-identical across workers and cell counts.
 func BenchmarkPlatformTickFleet(b *testing.B) {
 	b.ReportAllocs()
 	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
@@ -149,7 +149,7 @@ func BenchmarkPlatformTickFleet(b *testing.B) {
 	type mode struct {
 		name      string
 		workers   int
-		cells     int // 0 = legacy pipeline, -1 = sharded (auto, min 2)
+		cells     int // 0 = auto layout (one cell below 65 UAVs), -1 = sharded (auto, min 2)
 		obsv      bool
 		snapEvery int // 0 = recorder off
 	}

@@ -201,18 +201,26 @@ func TestServeMultiKillRestartRoundTrip(t *testing.T) {
 			t.Fatalf("POST mission m%d -> %d", i, resp.StatusCode)
 		}
 	}
+	// Wait until every mission has ticked: the restart below asserts
+	// that each one recovers with its progress.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/missions/m1")
+		resp, err := http.Get("http://" + addr + "/missions")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var info sesame.MissionInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		var list []sesame.MissionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if info.Tick > 0 {
+		ticked := 0
+		for _, info := range list {
+			if info.Tick > 0 {
+				ticked++
+			}
+		}
+		if ticked == 3 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -63,7 +63,7 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.sesameOn, "sesame", true, "enable the SESAME EDDI stack")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
-	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = unsharded)")
+	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
 	fs.Float64Var(&o.batteryFault, "battery-fault", 0, "inject a battery collapse on u1 at this mission time (0 = off)")
 	fs.Float64Var(&o.spoofAt, "spoof", 0, "start a GPS spoofing attack at this mission time (0 = off)")
 	fs.StringVar(&o.spoofUAV, "spoof-uav", "u2", "victim of the spoofing attack")
@@ -149,9 +149,13 @@ func run(opts options, out io.Writer) error {
 		fmt.Fprintf(out, "debug endpoints on http://%s/metrics and /debug/pprof/\n", ln.Addr())
 	}
 
-	// The mission end is fixed before any restore so a resumed run
-	// stops at exactly the tick the uninterrupted run would have.
+	// The mission end and the fault schedule are fixed before any
+	// restore, so a resumed run stops at exactly the tick, and injects
+	// its faults at exactly the times, the uninterrupted run would have.
 	end := world.Clock.Now() + opts.horizon
+	if err := scheduleFaults(opts, world, out); err != nil {
+		return err
+	}
 
 	if opts.resume != "" {
 		tick, err := resumeFromBlackBox(opts, p)
@@ -175,10 +179,6 @@ func run(opts options, out io.Writer) error {
 		p.SetRecorder(rec)
 		fmt.Fprintf(out, "black box recording into %s (checkpoint every %d ticks)\n",
 			opts.record, opts.snapshotEvery)
-	}
-
-	if err := scheduleFaults(opts, world, out); err != nil {
-		return err
 	}
 
 	nextStatus := world.Clock.Now()
@@ -368,8 +368,8 @@ func missionArea(home sesame.LatLng) sesame.Polygon {
 }
 
 // scheduleFaults injects the flag-selected fault scenarios. Resumed
-// runs re-schedule them identically; injections already applied before
-// the checkpoint are dropped by the restore.
+// runs schedule them identically before restoring; injections already
+// applied before the checkpoint are dropped by the restore.
 func scheduleFaults(opts options, world *sesame.World, out io.Writer) error {
 	if opts.batteryFault > 0 {
 		at := world.Clock.Now() + opts.batteryFault

@@ -112,18 +112,22 @@ func TestRecordResumeReplay(t *testing.T) {
 		t.Errorf("recording perturbed the mission:\n got %s\nwant %s", got, want)
 	}
 
-	resOpts := base
-	resOpts.resume = dir
-	resOpts.resumeTick = 200
-	var resumed bytes.Buffer
-	if err := run(resOpts, &resumed); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resumed.String(), "resumed from") {
-		t.Errorf("resume banner missing:\n%s", resumed.String())
-	}
-	if got := finalStatusJSON(t, resumed.String()); got != want {
-		t.Errorf("resumed mission diverges:\n got %s\nwant %s", got, want)
+	// Resume before the spoof fires (checkpoint at tick 25, spoof at
+	// 30 s) and after it.
+	for _, tick := range []uint64{25, 200} {
+		resOpts := base
+		resOpts.resume = dir
+		resOpts.resumeTick = tick
+		var resumed bytes.Buffer
+		if err := run(resOpts, &resumed); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(resumed.String(), "resumed from") {
+			t.Errorf("resume banner missing:\n%s", resumed.String())
+		}
+		if got := finalStatusJSON(t, resumed.String()); got != want {
+			t.Errorf("mission resumed at tick %d diverges:\n got %s\nwant %s", tick, got, want)
+		}
 	}
 
 	var dump bytes.Buffer

@@ -770,7 +770,8 @@ func (h *Host) evictOverCapacityLocked(keep *Mission) {
 }
 
 // victimLocked picks the eviction victim: finished missions first,
-// then watcher-less ones, oldest access first.
+// then watcher-less ones, oldest access first, lowest mission ID on a
+// tie — so which mission parks never depends on map order.
 func (h *Host) victimLocked(keep *Mission) *Mission {
 	var best *Mission
 	var bestScore [3]uint64
@@ -789,7 +790,7 @@ func (h *Host) victimLocked(keep *Mission) *Mission {
 		watched := len(m.subs) > 0
 		m.subsMu.Unlock()
 		score := [3]uint64{boolScore(!done), boolScore(watched), m.lastAccess.Load()}
-		if best == nil || lessScore(score, bestScore) {
+		if best == nil || lessScore(score, bestScore) || (score == bestScore && m.id < best.id) {
 			best, bestScore = m, score
 		}
 	}

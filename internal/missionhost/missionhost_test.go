@@ -212,6 +212,36 @@ func TestEvictionRacingNewWatcher(t *testing.T) {
 	}
 }
 
+// TestEvictionTieBreaksByID: unwatched live missions with equal
+// eviction scores (same access round, none done) must park lowest ID
+// first on every run, never in map order.
+func TestEvictionTieBreaksByID(t *testing.T) {
+	for run := 0; run < 10; run++ {
+		h := newTestHost(t, Config{MaxLive: 4})
+		for _, id := range []string{"m4", "m2", "m3", "m1"} {
+			if _, err := h.Create(quickSpec(id, 1)); err != nil {
+				t.Fatalf("create %s: %v", id, err)
+			}
+		}
+		for i, id := range []string{"n1", "n2", "n3"} {
+			if _, err := h.Create(quickSpec(id, 2)); err != nil {
+				t.Fatalf("create %s: %v", id, err)
+			}
+			var parked []string
+			for _, in := range h.List() {
+				if in.State == "parked" {
+					parked = append(parked, in.ID)
+				}
+			}
+			want := []string{"m1", "m2", "m3"}[:i+1]
+			if strings.Join(parked, ",") != strings.Join(want, ",") {
+				t.Fatalf("run %d: after creating %s parked %v, want %v", run, id, parked, want)
+			}
+		}
+		h.Close()
+	}
+}
+
 // TestCacheInvalidationOnTick is the registry edge case from the
 // issue: the render cache is keyed by (mission, seq), so a tick
 // advance must produce a fresh render, never a stale hit.

@@ -21,6 +21,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"sesame/internal/colloc"
 	"sesame/internal/conserts"
@@ -69,17 +71,21 @@ type Config struct {
 	SafeLandingPoint geo.LatLng
 	// Origin is the platform's own network origin for database calls.
 	Origin string
-	// Workers bounds the fleet scheduler's observe-phase worker pool:
-	// 0 sizes it to the machine (GOMAXPROCS), 1 forces the serial path.
-	// Results are bit-identical regardless of the pool size.
+	// Workers bounds the fleet scheduler's worker pool (per-cell
+	// physics, observe): 0 sizes it to the machine (GOMAXPROCS), 1 runs
+	// every phase inline. Results are bit-identical regardless of the
+	// pool size.
 	Workers int
 	// Cells shards the fleet into contiguous cells of the deterministic
-	// fleet order; the scheduler then runs physics, prepare and observe
-	// per cell on the worker pool, with the cross-cell work — lost-link
-	// redistribution, counter merging, the apply phase, the mission
-	// decision — at serial barriers. 0 sizes the layout automatically
-	// (one cell per 64 UAVs, so small fleets keep the legacy pipeline);
-	// 1 forces the legacy unsharded pipeline. Sharded runs are
+	// fleet order. Every tick runs one pipeline over the cells: physics
+	// per cell on the worker pool, then prepare and observe, with the
+	// cross-cell work — the lost-link watchdog, counter merging, the
+	// apply phase, the mission decision — at serial barriers. The layout
+	// picks the detector streams: one cell captures from one shared
+	// stream in fleet order (prepare serial, observe per UAV on the
+	// pool); more cells give every vehicle a split stream and fuse
+	// prepare+observe per cell. 0 sizes the layout automatically (one
+	// cell per 64 UAVs, so small fleets get one cell). Runs are
 	// bit-identical across all cell counts >= 2 and any Workers value.
 	Cells int
 	// ExtraMonitors registers additional eddi.Runtime monitors per UAV,
@@ -153,7 +159,7 @@ func DefaultConfig() Config {
 }
 
 // AutoCells is the Cells=0 sizing policy: one cell per 64 UAVs. Small
-// fleets resolve to a single cell (the legacy pipeline); a 10k-vehicle
+// fleets resolve to a single cell (the shared capture stream); a 10k-vehicle
 // fleet spreads across ~160 cells, enough to keep every worker busy
 // without barrier overhead dominating.
 func AutoCells(n int) int {
@@ -164,8 +170,8 @@ func AutoCells(n int) int {
 }
 
 // cell is one contiguous shard [lo, hi) of the sorted fleet order plus
-// its shard-local failure counters. Workers tally into their own cell
-// during the concurrent phases; the tick barrier drains every cell into
+// its shard-local failure counters. Vehicles tally into their own cell
+// during prepare and observe; the tick barrier drains every cell into
 // the platform totals in ascending cell order, so the merged counters
 // never depend on goroutine scheduling.
 type cell struct {
@@ -231,15 +237,15 @@ type uavState struct {
 	// dbRetries is this UAV's pending database retry queue. Only the
 	// observe-phase worker that owns the UAV touches it, so no lock.
 	dbRetries []dbRetry
-	// drops and retries are where this UAV's concurrent-phase failures
-	// are tallied: the platform totals when unsharded, the owning cell's
-	// shard-local counters when sharded (drained into the totals at the
-	// tick barrier). Serial-phase call sites keep using the platform
-	// totals directly.
+	// drops and retries are the owning cell's shard-local counters,
+	// where this UAV's prepare/observe failures are tallied (drained
+	// into the platform totals at the tick barrier). Serial-phase call
+	// sites use the platform totals directly.
 	drops   *dropCounters
 	retries *retryCounters
-	// detRNG is the vehicle's split detector stream in sharded mode;
-	// nil means captures draw from the shared fleet-order stream.
+	// detRNG is the stream this UAV's captures draw from: the shared
+	// "platform/detector" stream in a one-cell layout, the vehicle's own
+	// split stream otherwise. Nil without a detector and scene.
 	detRNG *rand.Rand
 }
 
@@ -303,13 +309,19 @@ type Platform struct {
 	states     map[string]*uavState
 	order      []string
 	dispatched map[string]int // task path length already uploaded
-	// workers is the resolved observe-phase pool bound.
+	// workers is the resolved worker-pool bound.
 	workers int
-	// cells is the resolved shard layout over p.order; length 1 selects
-	// the legacy unsharded pipeline.
+	// next and wg are the worker pool's cursor and barrier (parallel).
+	next atomic.Int64
+	wg   sync.WaitGroup
+	// cells is the resolved shard layout over p.order; length 1 captures
+	// from the shared detector stream with a serial prepare.
 	cells []cell
+	// now is the current tick's world time, shared with pool workers.
+	now float64
 	// snapBuf, obsBuf and actionsBuf are per-tick scratch reused across
-	// ticks; the pipeline fully consumes them before the tick returns.
+	// ticks, indexed by fleet position; the pipeline fully consumes them
+	// before the tick returns.
 	snapBuf    []eddi.Snapshot
 	obsBuf     []observation
 	actionsBuf map[string]conserts.UAVAction
@@ -483,14 +495,20 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 		nCells = len(p.order)
 	}
 	p.cells = make([]cell, nCells)
+	p.snapBuf = make([]eddi.Snapshot, len(p.order))
+	p.obsBuf = make([]observation, len(p.order))
 	var det []*rand.Rand
-	if nCells > 1 && p.detector != nil && scene != nil {
-		// Sharded captures draw from one split stream per vehicle, keyed
-		// by fleet index, so the draw sequence — hence every digest — is
-		// invariant to the cell layout and the pool size. Streams are
-		// created here, serially, because the clock registry is not
-		// goroutine-safe.
-		det = world.Clock.ShardStreams("platform/detector", len(p.order))
+	if p.detector != nil && scene != nil {
+		// One cell keeps the shared stream, drawn in fleet order. More
+		// cells split it into one stream per vehicle, keyed by fleet
+		// index, so the draw sequence — hence every digest — is invariant
+		// to the cell layout and the pool size. Streams are created here,
+		// serially, because the clock registry is not goroutine-safe.
+		split := 1
+		if nCells > 1 {
+			split = len(p.order)
+		}
+		det = world.Clock.ShardStreams("platform/detector", split)
 	}
 	for ci := range p.cells {
 		c := &p.cells[ci]
@@ -498,15 +516,10 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 		c.hi = (ci + 1) * len(p.order) / nCells
 		for i := c.lo; i < c.hi; i++ {
 			st := p.states[p.order[i]]
-			if nCells > 1 {
-				st.drops = &c.drops
-				st.retries = &c.retries
-			} else {
-				st.drops = &p.drops
-				st.retries = &p.retries
-			}
+			st.drops = &c.drops
+			st.retries = &c.retries
 			if det != nil {
-				st.detRNG = det[i]
+				st.detRNG = det[i%len(det)]
 			}
 		}
 	}

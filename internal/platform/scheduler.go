@@ -1,39 +1,40 @@
 package platform
 
-// The fleet scheduler decomposes one platform tick into three phases:
+// The fleet scheduler runs every tick through one pipeline over the
+// cell layout (Config.Cells): contiguous shards of the sorted fleet
+// order, each with its own failure counters.
 //
-//  1. prepare (serial, fleet order): freeze one telemetry Snapshot per
-//     UAV against the post-Step world state and stage camera frames.
-//     Captures stay serial because the detector draws from one shared
-//     RNG stream — fleet order keeps the draw sequence, and therefore
-//     every experiment output, bit-identical to the serial loop.
-//  2. observe (concurrent, bounded worker pool): run each UAV's monitor
-//     chain over its snapshot. Chains only touch their own UAV's state
-//     and read-only shared models (the SINADRA network, the config),
-//     so any interleaving yields the same per-UAV results.
-//  3. apply (serial, fleet order): emit the collected events, run
+//  1. step: the world's serial BeginStep (clock events, due faults, the
+//     gust draw), physics per cell on the worker pool, then the serial
+//     FinishStep telemetry publish in fleet order.
+//  2. prepare: the lost-link watchdog runs serially over the whole
+//     fleet, since a contingency mutates shared mission state
+//     (availability marks, task redistribution, the event log). Then
+//     each UAV freezes one telemetry Snapshot against the post-step
+//     world and stages its camera frame.
+//  3. observe (worker pool): each UAV's monitor chain runs over its
+//     snapshot. Chains only touch their own UAV's state and read-only
+//     shared models (the SINADRA network, the config), so any
+//     interleaving yields the same per-UAV results. The cells' counters
+//     then drain into the platform totals in ascending cell order.
+//  4. apply (serial, fleet order): emit the collected events, run
 //     mission management (crash redistribution, collaborative-landing
-//     steps, battery swaps) and execute flight actions. Everything
-//     that reads fleet-wide state (ConSert neighbour evidence) or
-//     mutates shared state (mission assignments, the event log)
-//     happens here, in stable p.order, which makes the concurrent
-//     scheduler's outputs bit-identical to the old serial loop.
+//     steps, battery swaps) and execute flight actions, then the
+//     mission-level decision. Everything that reads fleet-wide state
+//     (ConSert neighbour evidence) or mutates shared state (mission
+//     assignments, the event log) happens here, in stable p.order.
 //
-// With Config.Cells > 1 the fleet is sharded into contiguous cells of
-// the sorted order and tickSharded replaces the pipeline above:
-// physics and a fused prepare+observe run per cell on the worker pool,
-// while everything that crosses cells — the lost-link watchdog, the
-// counter merge, apply, the mission decision — runs at serial barriers.
-// Sharded captures draw from per-vehicle split detector streams, so
-// sharded outputs are bit-identical across cell counts and pool sizes
-// (though, with a detection scene, not to the unsharded single-stream
-// draw order).
+// The layout decides where captures draw from, and with it how prepare
+// is scheduled. One cell captures from the shared "platform/detector"
+// stream in fleet order, so prepare stays serial and observe fans out
+// per UAV. More cells give every vehicle its own split detector stream,
+// so prepare and observe fuse per cell on the pool. Outputs are
+// bit-identical for any pool size, and for any cell count >= 2; with a
+// detection scene the one-cell draw order differs from the split one.
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sesame/internal/conserts"
@@ -59,84 +60,13 @@ type observation struct {
 	quarantined bool
 }
 
-// Tick advances the platform by one second: world physics, then the
-// prepare → observe → apply pipeline, then the mission-level decision.
-// With a flight recorder configured, the completed tick is appended to
-// the black box and a full checkpoint is written on cadence.
+// Tick advances the platform by one second through the step → prepare
+// → observe → apply pipeline, then the mission-level decision. Phase
+// timings enter histograms only (never Status), so digested outputs are
+// the same with observability on or off. With a flight recorder
+// configured, the completed tick is appended to the black box and a
+// full checkpoint is written on cadence.
 func (p *Platform) Tick() error {
-	var err error
-	switch {
-	case len(p.cells) > 1:
-		err = p.tickSharded()
-	case p.obs == nil:
-		err = p.tickFast()
-	default:
-		err = p.tickObserved()
-	}
-	if err != nil {
-		return err
-	}
-	p.ticks++
-	if p.cfg.Recorder != nil {
-		return p.recordTick()
-	}
-	return nil
-}
-
-// tickFast is the uninstrumented tick: no clock reads, no metric
-// touches, byte-for-byte the pre-observability hot path.
-func (p *Platform) tickFast() error {
-	if err := p.World.Step(1); err != nil {
-		return err
-	}
-	now := p.World.Clock.Now()
-	snaps := p.prepare(now)
-	observations := p.observeFleet(snaps)
-	for i, id := range p.order {
-		if err := p.apply(id, observations[i], now); err != nil {
-			return err
-		}
-	}
-	p.updateDecision()
-	return nil
-}
-
-// tickObserved is the same pipeline with per-phase wall-clock timing.
-// Phase durations only enter histograms (never Status), so digested
-// outputs stay identical to tickFast.
-func (p *Platform) tickObserved() error {
-	obs := p.obs
-	obs.tick.Add(1)
-	obs.ticks.Inc()
-	t := time.Now()
-	if err := p.World.Step(1); err != nil {
-		return err
-	}
-	obs.phaseStep.Observe(time.Since(t).Seconds())
-	now := p.World.Clock.Now()
-	t = time.Now()
-	snaps := p.prepare(now)
-	obs.phasePrepare.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	observations := p.observeFleet(snaps)
-	obs.phaseObserve.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	for i, id := range p.order {
-		if err := p.apply(id, observations[i], now); err != nil {
-			return err
-		}
-	}
-	p.updateDecision()
-	obs.phaseApply.Observe(time.Since(t).Seconds())
-	return nil
-}
-
-// tickSharded is the cell-sharded pipeline (Config.Cells > 1): physics
-// and a fused prepare+observe run per cell on the worker pool, with
-// everything that crosses cells at serial barriers in fleet (or
-// ascending cell) order. Phase timings are recorded when observability
-// is on; the step/observe split matches the legacy phase labels.
-func (p *Platform) tickSharded() error {
 	obs := p.obs
 	var t time.Time
 	if obs != nil {
@@ -148,41 +78,41 @@ func (p *Platform) tickSharded() error {
 	if err != nil {
 		return err
 	}
-	p.runCells(func(c *cell) { p.World.StepRange(c.lo, c.hi, 1) })
+	p.now = now
+	p.parallel(len(p.cells), (*Platform).stepCell)
 	p.World.FinishStep(now)
 	if obs != nil {
 		obs.phaseStep.Observe(time.Since(t).Seconds())
 		t = time.Now()
 	}
-	// The lost-link watchdog mutates shared mission state (availability
-	// marks, task redistribution, the event log), so it runs serially
-	// over the whole fleet before the concurrent phases. Hoisting it out
-	// of prepare is output-neutral: a contingency only touches other
-	// vehicles through redispatch, which never changes a field prepare
-	// snapshots, and the watchdog draws no RNG.
 	for _, id := range p.order {
 		p.tickLinkWatchdog(p.states[id], now)
+	}
+	fused := len(p.cells) > 1
+	if !fused {
+		for i := range p.order {
+			p.prepareAt(i)
+		}
 	}
 	if obs != nil {
 		obs.phasePrepare.Observe(time.Since(t).Seconds())
 		t = time.Now()
 	}
-	snaps := p.snapshotBuf()
-	out := p.observationBuf()
-	p.runCells(func(c *cell) {
-		for i := c.lo; i < c.hi; i++ {
-			st := p.states[p.order[i]]
-			snaps[i] = p.prepareUAV(st, now)
-			out[i] = p.observeUAV(snaps[i])
-		}
-	})
-	p.mergeCellCounters()
+	if fused {
+		p.parallel(len(p.cells), (*Platform).prepareObserveCell)
+	} else {
+		p.parallel(len(p.order), (*Platform).observeAt)
+	}
+	for i := range p.cells {
+		p.cells[i].drops.drainInto(&p.drops)
+		p.cells[i].retries.drainInto(&p.retries)
+	}
 	if obs != nil {
 		obs.phaseObserve.Observe(time.Since(t).Seconds())
 		t = time.Now()
 	}
 	for i, id := range p.order {
-		if err := p.apply(id, out[i], now); err != nil {
+		if err := p.apply(id, p.obsBuf[i], now); err != nil {
 			return err
 		}
 	}
@@ -190,48 +120,60 @@ func (p *Platform) tickSharded() error {
 	if obs != nil {
 		obs.phaseApply.Observe(time.Since(t).Seconds())
 	}
+	p.ticks++
+	if p.cfg.Recorder != nil {
+		return p.recordTick()
+	}
 	return nil
 }
 
-// runCells fans fn out over the cells on the worker pool (the same
-// work-stealing pattern as observeFleet) and waits for all of them.
-func (p *Platform) runCells(fn func(c *cell)) {
-	workers := p.workers
-	if workers > len(p.cells) {
-		workers = len(p.cells)
+// stepCell advances one cell's vehicles through the open world step.
+func (p *Platform) stepCell(ci int) {
+	c := &p.cells[ci]
+	p.World.StepRange(c.lo, c.hi, 1)
+}
+
+// observeAt runs the monitor chain of the UAV at fleet index i.
+func (p *Platform) observeAt(i int) {
+	p.obsBuf[i] = p.observeUAV(p.snapBuf[i])
+}
+
+// prepareObserveCell is the fused prepare+observe of one cell, for
+// layouts whose vehicles capture from their own split streams.
+func (p *Platform) prepareObserveCell(ci int) {
+	c := &p.cells[ci]
+	for i := c.lo; i < c.hi; i++ {
+		p.prepareAt(i)
+		p.observeAt(i)
 	}
+}
+
+// parallel runs fn(p, i) for every i in [0, n) on the worker pool and
+// waits for all of them. Workers steal the next index one at a time.
+// fn is a method expression, not a closure, and the pool's cursor and
+// wait group live on the platform, so a call allocates nothing beyond
+// its worker goroutines.
+func (p *Platform) parallel(n int, fn func(*Platform, int)) {
+	workers := min(p.workers, n)
 	if workers <= 1 {
-		for i := range p.cells {
-			fn(&p.cells[i])
+		for i := 0; i < n; i++ {
+			fn(p, i)
 		}
 		return
 	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	p.next.Store(-1)
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(p.cells) {
-					return
-				}
-				fn(&p.cells[i])
-			}
-		}()
+		go p.work(n, fn)
 	}
-	wg.Wait()
+	p.wg.Wait()
 }
 
-// mergeCellCounters drains every cell's shard-local drop/retry tallies
-// into the platform totals in ascending cell order — the deterministic
-// merge Status and checkpoints read.
-func (p *Platform) mergeCellCounters() {
-	for i := range p.cells {
-		p.cells[i].drops.drainInto(&p.drops)
-		p.cells[i].retries.drainInto(&p.retries)
+// work is one pool worker of parallel.
+func (p *Platform) work(n int, fn func(*Platform, int)) {
+	defer p.wg.Done()
+	for i := int(p.next.Add(1)); i < n; i = int(p.next.Add(1)) {
+		fn(p, i)
 	}
 }
 
@@ -250,28 +192,16 @@ func (p *Platform) RunMission(horizon float64) error {
 	return nil
 }
 
-// prepare freezes one snapshot per UAV and stages perception frames in
-// fleet order (shared detector RNG — see package comment).
-func (p *Platform) prepare(now float64) []eddi.Snapshot {
-	snaps := p.snapshotBuf()
-	for i, id := range p.order {
-		st := p.states[id]
-		// Lost-link watchdog first: the snapshot then reflects any
-		// contingency commanded this tick.
-		p.tickLinkWatchdog(st, now)
-		snaps[i] = p.prepareUAV(st, now)
-	}
-	return snaps
-}
-
-// prepareUAV freezes one UAV's telemetry snapshot and stages its
-// perception frame. The sharded tick calls it concurrently across
-// cells: every field read is the vehicle's own state, captures draw
-// from the vehicle's split detector stream (st.detRNG), and failures
-// count into the cell's shard-local counters.
-func (p *Platform) prepareUAV(st *uavState, now float64) eddi.Snapshot {
+// prepareAt freezes the telemetry snapshot of the UAV at fleet index i
+// and stages its perception frame. Every field read is the vehicle's
+// own state, the capture draws from the vehicle's detector stream
+// (st.detRNG) and failures count into its cell's counters, so cells
+// may prepare concurrently when their streams are split.
+func (p *Platform) prepareAt(i int) {
+	st := p.states[p.order[i]]
 	u := st.uav
-	s := eddi.Snapshot{
+	now := p.now
+	p.snapBuf[i] = eddi.Snapshot{
 		UAV:             u.ID(),
 		Time:            now,
 		Airborne:        u.Mode().Airborne(),
@@ -292,68 +222,11 @@ func (p *Platform) prepareUAV(st *uavState, now float64) eddi.Snapshot {
 			CameraBlur: u.Camera.BlurSigma,
 			Thermal:    p.thermal,
 		}
-		var frame *detection.Frame
-		var err error
-		if st.detRNG != nil {
-			frame, err = p.detector.CaptureWith(st.detRNG, u.ID(), now, u.TruePosition(), cond, p.scene)
-		} else {
-			frame, err = p.detector.Capture(u.ID(), now, u.TruePosition(), cond, p.scene)
-		}
+		frame, err := p.detector.CaptureWith(st.detRNG, u.ID(), now, u.TruePosition(), cond, p.scene)
 		if countIn(&st.drops.perception, err) {
 			st.perceptionMon.stage(frame)
 		}
 	}
-	return s
-}
-
-// snapshotBuf returns the reusable fleet-sized snapshot scratch.
-func (p *Platform) snapshotBuf() []eddi.Snapshot {
-	if cap(p.snapBuf) < len(p.order) {
-		p.snapBuf = make([]eddi.Snapshot, len(p.order))
-	}
-	return p.snapBuf[:len(p.order)]
-}
-
-// observationBuf returns the reusable fleet-sized observation scratch.
-func (p *Platform) observationBuf() []observation {
-	if cap(p.obsBuf) < len(p.order) {
-		p.obsBuf = make([]observation, len(p.order))
-	}
-	return p.obsBuf[:len(p.order)]
-}
-
-// observeFleet fans the monitor chains out across the worker pool and
-// collects per-UAV results into fleet-order slots.
-func (p *Platform) observeFleet(snaps []eddi.Snapshot) []observation {
-	out := p.observationBuf()
-	workers := p.workers
-	if workers > len(snaps) {
-		workers = len(snaps)
-	}
-	if workers <= 1 || len(snaps) == 1 {
-		for i := range snaps {
-			out[i] = p.observeUAV(snaps[i])
-		}
-		return out
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(snaps) {
-					return
-				}
-				out[i] = p.observeUAV(snaps[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // observeUAV runs one UAV's telemetry reporting and monitor chain.

@@ -52,8 +52,8 @@ func TestAutoCells(t *testing.T) {
 // the cell-sharded pipeline: across every experiment regime, sharded
 // runs must be bit-identical for any cell count >= 2 and any pool size,
 // and — in scenarios without a detection scene, where no split RNG
-// streams enter the picture — bit-identical to the legacy unsharded
-// pipeline too. Run with -race this exercises the per-cell physics and
+// streams enter the picture — bit-identical to the one-cell layout
+// too. Run with -race this exercises the per-cell physics and
 // fused prepare+observe phases for data races.
 func TestShardedSchedulerDeterminism(t *testing.T) {
 	for _, sc := range schedulerScenarios() {
@@ -85,9 +85,9 @@ func TestShardedSchedulerDeterminism(t *testing.T) {
 				}
 			}
 			if sc.persons == 0 {
-				if legacy := run(1, 8); legacy != want {
-					t.Errorf("no-scene sharded run diverges from legacy pipeline: %s != %s",
-						want, legacy)
+				if oneCell := run(1, 8); oneCell != want {
+					t.Errorf("no-scene sharded run diverges from the one-cell layout: %s != %s",
+						want, oneCell)
 				}
 			}
 		})
@@ -148,7 +148,7 @@ func TestShardedDeterminismProperty(t *testing.T) {
 // TestShardedDropCountersMerged proves the per-shard failure counters
 // aggregate into Status.Drops deterministically: a sharded platform
 // writing to a forbidden database origin must surface exactly the same
-// drop totals as the legacy pipeline, on every run.
+// drop totals as the one-cell layout, on every run.
 func TestShardedDropCountersMerged(t *testing.T) {
 	run := func(cells int) DropCounters {
 		cfg := DefaultConfig()
@@ -166,19 +166,19 @@ func TestShardedDropCountersMerged(t *testing.T) {
 		}
 		return p.Status().Drops
 	}
-	legacy := run(1)
+	oneCell := run(1)
 	// 6 UAVs x 2 writes x 10 ticks.
-	if legacy.Database != 120 {
-		t.Fatalf("legacy Drops.Database = %d, want 120", legacy.Database)
+	if oneCell.Database != 120 {
+		t.Fatalf("one-cell Drops.Database = %d, want 120", oneCell.Database)
 	}
 	for _, cells := range []int{2, 3, 6} {
-		if got := run(cells); got != legacy {
-			t.Errorf("cells=%d Drops = %+v, want %+v", cells, got, legacy)
+		if got := run(cells); got != oneCell {
+			t.Errorf("cells=%d Drops = %+v, want %+v", cells, got, oneCell)
 		}
 		// Merge order is pinned (ascending cells), so repeat runs must
 		// reproduce the totals exactly.
-		if again := run(cells); again != legacy {
-			t.Errorf("cells=%d Drops not reproducible: %+v != %+v", cells, again, legacy)
+		if again := run(cells); again != oneCell {
+			t.Errorf("cells=%d Drops not reproducible: %+v != %+v", cells, again, oneCell)
 		}
 	}
 }

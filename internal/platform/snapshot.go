@@ -39,7 +39,7 @@ import (
 // Workers is excluded on purpose — the scheduler is bit-identical
 // across pool sizes, so serial and pooled runs replay each other's
 // recordings. Cells IS digested (as the raw configured value): with a
-// detection scene, sharded and unsharded runs draw detector captures
+// detection scene, one-cell and multi-cell runs draw detector captures
 // from different stream layouts, so their recordings must not replay
 // each other. Function-typed fields (CoveragePlanner, ExtraMonitors)
 // and pure instrumentation (Observability, Recorder) cannot or need

@@ -160,16 +160,18 @@ func fly(t *testing.T, sc *scenario.Scenario, workers, cells, ticks int, tag str
 // generated scenarios (including in -short), cycling through every
 // archetype, must each pass the full determinism battery.
 //
-//   - serial (Workers=1) == pooled (Workers=8) on the unsharded
-//     scheduler;
+//   - serial (Workers=1) == pooled (Workers=8) in the one-cell
+//     layout;
 //   - sharded runs bit-identical across cell counts (2 vs 3). Sharded
 //     digests intentionally differ from unsharded ones whenever a
 //     detection scene is present — split detector streams are part of
 //     the sharded contract and Cells is digested for exactly that
 //     reason — so the gate compares shardings to each other, like the
 //     platform's own sharded suite;
-//   - a checkpoint taken mid-flight and restored onto a freshly built
-//     pooled platform must finish bit-identically to the donor run.
+//   - a checkpoint taken mid-flight, and one taken before the first
+//     tick, restored onto a freshly built pooled platform must finish
+//     bit-identically to the donor run. The tick-0 case covers
+//     timeline faults already due at launch but not yet injected.
 //
 // Safety invariants are checked after every tick of every run.
 func TestScenarioProperty(t *testing.T) {
@@ -196,23 +198,26 @@ func TestScenarioProperty(t *testing.T) {
 				t.Errorf("sharded digests diverge across cell counts: %s != %s", got, sharded)
 			}
 
-			// Checkpoint/resume identity: kill the serial run halfway,
-			// restore onto a pooled rebuild, fly both to the same end.
-			donor := launch(t, sc, 1, 1)
-			tickN(t, sc, donor.Platform, ticks/2, "donor")
-			drainClock(t, donor.Platform)
-			snap, err := donor.Platform.Checkpoint()
-			if err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			resumed := launch(t, sc, 8, 1)
-			if err := resumed.Platform.RestoreCheckpoint(snap); err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			tickN(t, sc, donor.Platform, ticks/2, "donor-cont")
-			tickN(t, sc, resumed.Platform, ticks/2, "resumed")
-			if got, want := digest(t, resumed.Platform), digest(t, donor.Platform); got != want {
-				t.Errorf("resumed run diverges from donor: %s != %s", got, want)
+			// Checkpoint/resume identity: kill the serial run at tick 0
+			// and halfway, restore onto a pooled rebuild, fly both to
+			// the same end.
+			for _, at := range []int{0, ticks / 2} {
+				donor := launch(t, sc, 1, 1)
+				tickN(t, sc, donor.Platform, at, "donor")
+				drainClock(t, donor.Platform)
+				snap, err := donor.Platform.Checkpoint()
+				if err != nil {
+					t.Fatalf("checkpoint at tick %d: %v", at, err)
+				}
+				resumed := launch(t, sc, 8, 1)
+				if err := resumed.Platform.RestoreCheckpoint(snap); err != nil {
+					t.Fatalf("restore at tick %d: %v", at, err)
+				}
+				tickN(t, sc, donor.Platform, ticks-at, "donor-cont")
+				tickN(t, sc, resumed.Platform, ticks-at, "resumed")
+				if got, want := digest(t, resumed.Platform), digest(t, donor.Platform); got != want {
+					t.Errorf("run resumed at tick %d diverges from donor: %s != %s", at, got, want)
+				}
 			}
 		})
 	}

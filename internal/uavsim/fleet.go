@@ -81,6 +81,7 @@ func (w *World) BeginStep(dt float64) (float64, error) {
 	for len(w.faults) > 0 && w.faults[0].At <= now {
 		f := w.faults[0]
 		w.faults = w.faults[1:]
+		w.faultsFired++
 		f.Apply(w.uavs[f.UAV])
 	}
 	w.stepGust(dt)

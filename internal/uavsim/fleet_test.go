@@ -1,6 +1,7 @@
 package uavsim
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -164,5 +165,82 @@ func TestFleetSize(t *testing.T) {
 	ids := []string{w.UAVs()[0].ID(), w.UAVs()[1].ID()}
 	if ids[0] != "a" || ids[1] != "b" {
 		t.Errorf("fleet order = %v, want [a b]", ids)
+	}
+}
+
+// TestRestoreDropsExactlyFiredFaults: a fault already due but not yet
+// injected when a checkpoint is taken must still fire after restore.
+// The snapshot carries the injected-fault count; snapshots without it
+// keep the old rule (drop every fault due by the snapshot time).
+func TestRestoreDropsExactlyFiredFaults(t *testing.T) {
+	build := func() *World {
+		w := buildFleetWorld(t, 2)
+		for i := 0; i < 20; i++ {
+			if err := w.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Due at t=5, scheduled at t=20: the next BeginStep injects it.
+		if err := w.ScheduleFault(CommsFailureFault(5, "u02")); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	donor := build()
+	snap, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.FaultsFired == nil || *snap.FaultsFired != 1 {
+		t.Fatalf("FaultsFired = %v, want 1 (the battery fault at t=10)", snap.FaultsFired)
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back WorldSnapshot
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	legacy := back
+	legacy.FaultsFired = nil
+	for _, tc := range []struct {
+		name    string
+		snap    WorldSnapshot
+		commsOK bool
+	}{
+		{"counted", back, false},
+		{"without count", legacy, true},
+	} {
+		w := build()
+		if err := w.RestoreSnapshot(tc.snap); err != nil {
+			t.Fatalf("%s: restore: %v", tc.name, err)
+		}
+		if err := w.Step(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.uavs["u02"].Comms.OK; got != tc.commsOK {
+			t.Errorf("%s: u02 comms OK = %v after one step, want %v", tc.name, got, tc.commsOK)
+		}
+		// Either way both faults are accounted for: injected, or
+		// dropped as already fired.
+		if w.faultsFired != 2 {
+			t.Errorf("%s: faultsFired = %d, want 2", tc.name, w.faultsFired)
+		}
+	}
+	if err := donor.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if donor.uavs["u02"].Comms.OK {
+		t.Error("donor: due fault did not fire on the next step")
+	}
+
+	// A rebuilt world that already fired more faults than the snapshot
+	// recorded cannot be the recorded run.
+	zero := uint64(0)
+	stale := back
+	stale.FaultsFired = &zero
+	if err := build().RestoreSnapshot(stale); err == nil {
+		t.Error("restore with fewer fired faults than the rebuild succeeded")
 	}
 }

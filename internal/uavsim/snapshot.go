@@ -177,8 +177,8 @@ func (u *UAV) RestoreSnapshot(s UAVSnapshot) error {
 // WorldSnapshot is the environment's full mutable state: simulation
 // time, the wind/gust process, RNG stream positions, drop counters and
 // every vehicle. The fault schedule is NOT serialized (Apply funcs are
-// closures); RestoreSnapshot instead drops faults already injected by
-// the checkpoint time, so a rebuilt schedule replays only the future.
+// closures); RestoreSnapshot instead drops the faults the recorded run
+// had already injected, so a rebuilt schedule replays only the future.
 type WorldSnapshot struct {
 	Time           float64                `json:"time"`
 	Seed           int64                  `json:"seed"`
@@ -190,6 +190,10 @@ type WorldSnapshot struct {
 	TelemetryDrops uint64                 `json:"telemetry_drops"`
 	Streams        []simclock.StreamState `json:"streams"`
 	UAVs           []UAVSnapshot          `json:"uavs"`
+	// FaultsFired is how many scheduled faults the recorded run had
+	// injected. Nil in snapshots that predate the field; their restore
+	// falls back to dropping every fault due by Time.
+	FaultsFired *uint64 `json:"faults_fired,omitempty"`
 }
 
 // Snapshot exports the world state. The clock must be quiescent
@@ -200,6 +204,7 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 	if n := w.Clock.Pending(); n != 0 {
 		return WorldSnapshot{}, fmt.Errorf("uavsim: snapshot with %d pending clock events", n)
 	}
+	fired := w.faultsFired
 	s := WorldSnapshot{
 		Time:           w.Clock.Now(),
 		Seed:           w.Clock.Seed(),
@@ -211,6 +216,7 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 		TelemetryDrops: w.telemetryDrops.Load(),
 		Streams:        w.Clock.StreamStates(),
 		UAVs:           make([]UAVSnapshot, 0, len(w.order)),
+		FaultsFired:    &fired,
 	}
 	for _, id := range w.order {
 		s.UAVs = append(s.UAVs, w.uavs[id].Snapshot())
@@ -219,12 +225,22 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 }
 
 // RestoreSnapshot overlays a checkpoint onto a freshly rebuilt world:
-// the same fleet must already exist (same scenario builder, same seed).
-// It restores RNG streams, jumps the clock, drops faults the original
-// run had already injected, and overwrites each vehicle's state.
+// the same fleet must already exist (same scenario builder, same seed,
+// same fault schedule). It restores RNG streams, jumps the clock, drops
+// faults the original run had already injected, and overwrites each
+// vehicle's state.
 func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	if s.Seed != w.Clock.Seed() {
 		return fmt.Errorf("uavsim: snapshot seed %d != world seed %d", s.Seed, w.Clock.Seed())
+	}
+	if s.FaultsFired != nil {
+		// The rebuild may have injected some of the schedule itself
+		// (faults due during its climb-out); drop only the rest.
+		if *s.FaultsFired < w.faultsFired ||
+			*s.FaultsFired-w.faultsFired > uint64(len(w.faults)) {
+			return fmt.Errorf("uavsim: snapshot fired %d faults, rebuilt world fired %d with %d pending",
+				*s.FaultsFired, w.faultsFired, len(w.faults))
+		}
 	}
 	if len(s.UAVs) != len(w.order) {
 		return fmt.Errorf("uavsim: snapshot has %d UAVs, world has %d", len(s.UAVs), len(w.order))
@@ -249,9 +265,17 @@ func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	w.telemetryDrops.Store(s.TelemetryDrops)
 	w.Clock.RestoreStreams(s.Streams)
 	w.Clock.SetNow(s.Time)
-	// Faults at or before the checkpoint were already injected in the
-	// recorded run; their effects live in the vehicle snapshots.
-	w.DropFaultsThrough(s.Time)
+	// The faults the recorded run injected are a prefix of the sorted
+	// schedule; their effects live in the vehicle snapshots. Snapshots
+	// without the count assume every fault due by their time fired,
+	// which misses faults already due at launch but not yet injected.
+	if s.FaultsFired != nil {
+		n := *s.FaultsFired - w.faultsFired
+		w.faults = w.faults[n:]
+		w.faultsFired = *s.FaultsFired
+	} else {
+		w.faultsFired += uint64(w.DropFaultsThrough(s.Time))
+	}
 	return nil
 }
 

@@ -36,6 +36,9 @@ type World struct {
 	seq      []*UAV
 	order    []string // deterministic step order
 	faults   []Fault
+	// faultsFired counts the faults BeginStep has injected, so a
+	// checkpoint records exactly how far into the schedule the run got.
+	faultsFired uint64
 	// airborne counts vehicles in airborne modes; maintained by the
 	// mode setter (atomic: sharded physics may crash vehicles
 	// concurrently).
