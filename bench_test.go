@@ -158,21 +158,23 @@ func BenchmarkPlatformTickFleet(b *testing.B) {
 		{"pooled", 0, 0, false, 0},
 		{"sharded", 0, -1, false, 0},
 		// The -obsv variants run with a metrics registry attached;
-		// BENCH_PR4.json records the instrumentation overhead
-		// (budget: <5% ns/op enabled, zero extra allocs disabled).
+		// EXPERIMENTS.md "Historic measurements" records the
+		// instrumentation overhead (budget: <5% ns/op enabled, zero
+		// extra allocs disabled).
 		{"serial-obsv", 1, 0, true, 0},
 		{"pooled-obsv", 0, 0, true, 0},
 		// The -rec variants additionally fly with the black-box
 		// flight recorder appending tick/bus/event records every
-		// tick, checkpoints effectively disabled; BENCH_PR5.json
-		// records the steady-state append-path overhead (budget:
-		// <5% ns/op over the -obsv baseline).
+		// tick, checkpoints effectively disabled; EXPERIMENTS.md
+		// "Historic measurements" records the steady-state
+		// append-path overhead (budget: <5% ns/op over the -obsv
+		// baseline).
 		{"serial-rec", 1, 0, true, 1 << 30},
 		{"pooled-rec", 0, 0, true, 1 << 30},
 		// The -ckpt variants run the full black box with a
 		// checkpoint every 50 ticks. Checkpoint cost is O(EDDI
 		// history), so this amortized number grows with mission
-		// length; BENCH_PR5.json reports it separately.
+		// length, so it is reported separately.
 		{"serial-ckpt", 1, 0, true, 50},
 		{"pooled-ckpt", 0, 0, true, 50},
 	}

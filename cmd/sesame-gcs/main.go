@@ -96,7 +96,7 @@ func parseArgs(args []string) (gcsOptions, error) {
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
 	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
 	fs.IntVar(&o.tickMS, "tick-ms", 200, "wall-clock milliseconds per simulated second")
-	fs.Float64Var(&o.spoofAt, "spoof", 0, "inject a spoofing attack on u2 at this mission time (0 = off)")
+	fs.Float64Var(&o.spoofAt, "spoof", 0, "inject a spoofing attack on u2 this many seconds after the climb-out (0 = off)")
 	fs.StringVar(&o.blackbox, "blackbox", "", "record the mission into this black-box directory and serve /blackbox")
 	fs.BoolVar(&o.multi, "multi", false, "serve a multi-mission host (POST /missions) instead of the single demo mission")
 	fs.StringVar(&o.parkDir, "park-dir", "", "directory for parked mission checkpoints (-multi; empty = temporary)")
@@ -138,20 +138,7 @@ func defaultGCSOptions() gcsOptions {
 // newGCS builds the seeded demo mission: u1..uN sweeping a 400 m
 // square with ten survivors, fully instrumented.
 func newGCS(o gcsOptions) (*gcs, error) {
-	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
-	world := sesame.NewWorld(home, o.seed)
-	for i := 1; i <= o.uavs; i++ {
-		id := fmt.Sprintf("u%d", i)
-		if _, err := world.AddUAV(sesame.UAVConfig{ID: id, Home: home, CruiseSpeedMS: 12}); err != nil {
-			return nil, err
-		}
-	}
-	a := sesame.Destination(home, 45, 80)
-	b := sesame.Destination(a, 90, 400)
-	c := sesame.Destination(b, 0, 400)
-	d := sesame.Destination(a, 0, 400)
-	area := sesame.Polygon{a, b, c, d}
-	scene, err := sesame.NewRandomScene(area, 10, 0.2, world, "scene")
+	world, scene, area, err := sesame.ClassicMission{Seed: o.seed, UAVs: o.uavs, Persons: 10}.Build()
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,8 @@ func parseArgs(args []string) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
 	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
-	fs.Float64Var(&o.batteryFault, "battery-fault", 0, "inject a battery collapse on u1 at this mission time (0 = off)")
-	fs.Float64Var(&o.spoofAt, "spoof", 0, "start a GPS spoofing attack at this mission time (0 = off)")
+	fs.Float64Var(&o.batteryFault, "battery-fault", 0, "inject a battery collapse on u1 this many seconds after the climb-out (0 = off)")
+	fs.Float64Var(&o.spoofAt, "spoof", 0, "start a GPS spoofing attack this many seconds after the climb-out (0 = off)")
 	fs.StringVar(&o.spoofUAV, "spoof-uav", "u2", "victim of the spoofing attack")
 	fs.IntVar(&o.persons, "persons", 10, "persons scattered in the search area")
 	fs.Float64Var(&o.horizon, "horizon", 1500, "maximum mission time in seconds")
@@ -288,32 +288,16 @@ func runScenario(opts options, out io.Writer) error {
 	return nil
 }
 
-// buildMission constructs the standard scenario — world, fleet, scene,
+// buildMission constructs the classic mission — world, fleet, scene,
 // platform, mission start — exactly the same way every run of a given
 // option set does, which is what makes black-box resume possible. A
 // -chaos plan is part of the scenario: its injections are a pure
 // function of (plan seed, sim time), so rebuilding with the same plan
 // reproduces them.
 func buildMission(opts options) (*sesame.World, *sesame.Platform, *sesame.ChaosLayer, error) {
-	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
-	world := sesame.NewWorld(home, opts.seed)
-	// IDs u1..uN keep the default fleet (and the fault targets u1/u2)
-	// identical to every run before the -uavs flag existed.
-	for i := 1; i <= opts.uavs; i++ {
-		id := fmt.Sprintf("u%d", i)
-		if _, err := world.AddUAV(sesame.UAVConfig{ID: id, Home: home, CruiseSpeedMS: 12}); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	area := missionArea(home)
-
-	var scene *sesame.Scene
-	if opts.persons > 0 {
-		var err error
-		scene, err = sesame.NewRandomScene(area, opts.persons, 0.2, world, "scene")
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	world, scene, area, err := sesame.ClassicMission{Seed: opts.seed, UAVs: opts.uavs, Persons: opts.persons}.Build()
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	var chaosLayer *sesame.ChaosLayer
@@ -358,18 +342,12 @@ func buildMission(opts options) (*sesame.World, *sesame.Platform, *sesame.ChaosL
 	return world, p, chaosLayer, nil
 }
 
-// missionArea is the 400 m survey square north-east of home.
-func missionArea(home sesame.LatLng) sesame.Polygon {
-	a := sesame.Destination(home, 45, 80)
-	b := sesame.Destination(a, 90, 400)
-	c := sesame.Destination(b, 0, 400)
-	d := sesame.Destination(a, 0, 400)
-	return sesame.Polygon{a, b, c, d}
-}
-
-// scheduleFaults injects the flag-selected fault scenarios. Resumed
-// runs schedule them identically before restoring; injections already
-// applied before the checkpoint are dropped by the restore.
+// scheduleFaults injects the flag-selected fault scenarios at their
+// offsets from the end of the climb-out (campaign classic runs and
+// scenario timelines count from its start instead; see
+// platform.ClassicMission). Resumed runs schedule them identically
+// before restoring; injections already applied before the checkpoint
+// are dropped by the restore.
 func scheduleFaults(opts options, world *sesame.World, out io.Writer) error {
 	if opts.batteryFault > 0 {
 		at := world.Clock.Now() + opts.batteryFault

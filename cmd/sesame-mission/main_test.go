@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -85,14 +86,17 @@ func finalStatusJSON(t *testing.T, out string) string {
 }
 
 // TestRecordResumeReplay drives the full black-box cycle through the
-// CLI entry points: a recorded mission, resumed mid-flight on a fresh
-// process, must print a final fleet status byte-identical to the
-// uninterrupted run's; the replay dump must describe the recording.
+// CLI entry points on the §V fault cocktail (GPS spoofing at +30 s,
+// battery collapse at +60 s): a recorded mission, resumed mid-flight
+// on a fresh process, must print a final fleet status byte-identical
+// to the uninterrupted run's; the recording must hold one tick record
+// per tick flown and the injected faults; the replay dump must
+// describe the recording.
 func TestRecordResumeReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "box")
 	base := options{
 		sesameOn: true, seed: 7, uavs: 3, spoofAt: 30, spoofUAV: "u2",
-		persons: 5, horizon: 400, every: 1e9, asJSON: true,
+		batteryFault: 60, persons: 5, horizon: 400, every: 1e9, asJSON: true,
 		snapshotEvery: 25,
 	}
 
@@ -111,6 +115,7 @@ func TestRecordResumeReplay(t *testing.T) {
 	if got := finalStatusJSON(t, recorded.String()); got != want {
 		t.Errorf("recording perturbed the mission:\n got %s\nwant %s", got, want)
 	}
+	checkRecording(t, dir, want)
 
 	// Resume before the spoof fires (checkpoint at tick 25, spoof at
 	// 30 s) and after it.
@@ -122,8 +127,11 @@ func TestRecordResumeReplay(t *testing.T) {
 		if err := run(resOpts, &resumed); err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(resumed.String(), "resumed from") {
-			t.Errorf("resume banner missing:\n%s", resumed.String())
+		var from uint64
+		banner := "resumed from " + dir + " at tick "
+		_, after, _ := strings.Cut(resumed.String(), banner)
+		if _, err := fmt.Sscanf(after, "%d", &from); err != nil || from == 0 || from > tick {
+			t.Errorf("resume banner must name a checkpoint at or before tick %d (%v):\n%s", tick, err, resumed.String())
 		}
 		if got := finalStatusJSON(t, resumed.String()); got != want {
 			t.Errorf("mission resumed at tick %d diverges:\n got %s\nwant %s", tick, got, want)
@@ -138,6 +146,60 @@ func TestRecordResumeReplay(t *testing.T) {
 		if !strings.Contains(dump.String(), wantFrag) {
 			t.Errorf("replay dump missing %q:\n%s", wantFrag, dump.String())
 		}
+	}
+}
+
+// checkRecording reads the black box back through OpenFlightRecording:
+// ticks 1..N recorded once each, the last at the final status's time,
+// at least one checkpoint and at least one fault record.
+func checkRecording(t *testing.T, dir, finalStatus string) {
+	t.Helper()
+	var final struct {
+		Time float64 `json:"time"`
+	}
+	if err := json.Unmarshal([]byte(finalStatus), &final); err != nil {
+		t.Fatal(err)
+	}
+	r, err := sesame.OpenFlightRecording(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ticks, faults, snapshots uint64
+	var last struct {
+		Tick uint64  `json:"tick"`
+		Time float64 `json:"time"`
+	}
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Type {
+		case sesame.FlightRecordTick:
+			ticks++
+			if err := json.Unmarshal(rec.Payload, &last); err != nil {
+				t.Fatal(err)
+			}
+			if last.Tick != ticks {
+				t.Fatalf("tick record %d carries tick %d", ticks, last.Tick)
+			}
+		case sesame.FlightRecordFault:
+			faults++
+		case sesame.FlightRecordSnapshot:
+			snapshots++
+		}
+	}
+	if ticks == 0 || last.Time != final.Time {
+		t.Errorf("recorded %d ticks ending at t=%v; the mission ended at t=%v", ticks, last.Time, final.Time)
+	}
+	if snapshots == 0 {
+		t.Error("recording holds no checkpoints")
+	}
+	if faults == 0 {
+		t.Error("the fault cocktail left no fault records")
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 	"math"
 	"strings"
 
-	"sesame/internal/detection"
 	"sesame/internal/eddi"
-	"sesame/internal/geo"
 	"sesame/internal/linksim"
 	"sesame/internal/platform"
 	"sesame/internal/scenario"
@@ -80,42 +78,10 @@ func (r Result) Failed() bool { return r.Status == "failed" }
 // does not depend on the seed. Reusing it amortizes per-run setup
 // across the thousands of runs a worker executes.
 type scratch struct {
-	ids   map[int][]string        // fleet size -> cached u1..uN
-	areas map[float64]geo.Polygon // area side -> cached survey square
-	blob  []byte                  // digest serialization buffer
+	blob []byte // digest serialization buffer
 }
 
-func newScratch() *scratch {
-	return &scratch{ids: map[int][]string{}, areas: map[float64]geo.Polygon{}}
-}
-
-// fleetIDs returns the cached u1..uN slice for a fleet size.
-func (sc *scratch) fleetIDs(n int) []string {
-	if ids, ok := sc.ids[n]; ok {
-		return ids
-	}
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("u%d", i+1)
-	}
-	sc.ids[n] = ids
-	return ids
-}
-
-// area returns the cached survey square of the given side, anchored
-// like every experiment's mission area.
-func (sc *scratch) area(side float64) geo.Polygon {
-	if a, ok := sc.areas[side]; ok {
-		return a
-	}
-	p := geo.Destination(defaultOrigin, 45, 80)
-	b := geo.Destination(p, 90, side)
-	c := geo.Destination(b, 0, side)
-	d := geo.Destination(p, 0, side)
-	area := geo.Polygon{p, b, c, d}
-	sc.areas[side] = area
-	return area
-}
+func newScratch() *scratch { return &scratch{} }
 
 // executeRun flies one grid point to its horizon and reduces it to a
 // Result. The platform is forced onto the serial scheduler path
@@ -133,22 +99,11 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 		return executeScenarioRun(spec, run, sc, res)
 	}
 
-	w := uavsim.NewWorld(defaultOrigin, run.Seed)
-	ids := sc.fleetIDs(run.Fleet)
-	for _, id := range ids {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: defaultOrigin, CruiseSpeedMS: 12}); err != nil {
-			return res, err
-		}
-	}
-	area := sc.area(spec.AreaSideM)
-
-	var scene *detection.Scene
-	if spec.Persons > 0 {
-		var err error
-		scene, err = detection.NewRandomScene(area, spec.Persons, 0.2, w.Clock.Stream("scene"))
-		if err != nil {
-			return res, err
-		}
+	w, scene, area, err := platform.ClassicMission{
+		Seed: run.Seed, UAVs: run.Fleet, Persons: spec.Persons, SideM: spec.AreaSideM,
+	}.Build()
+	if err != nil {
+		return res, err
 	}
 
 	cfg := platform.DefaultConfig()
@@ -168,10 +123,12 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 		}
 		return ""
 	})
-	for _, id := range ids {
-		layer.Link(id).SetProfile(run.Link.Profile)
+	for _, u := range w.UAVs() {
+		layer.Link(u.ID()).SetProfile(run.Link.Profile)
 	}
 
+	// Outages and faults count from before the climb-out, like scenario
+	// timelines (see platform.ClassicMission on the anchor split).
 	start := w.Clock.Now()
 	if err := p.StartMission(area); err != nil {
 		return res, err

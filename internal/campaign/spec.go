@@ -24,14 +24,9 @@ import (
 	"strconv"
 	"strings"
 
-	"sesame/internal/geo"
 	"sesame/internal/linksim"
 	"sesame/internal/scenario"
 )
-
-// defaultOrigin anchors every campaign's mission area (Cyprus, where
-// the paper's field trials flew).
-var defaultOrigin = geo.LatLng{Lat: 35.1856, Lng: 33.3823}
 
 // LinkVariant is one point on the link-condition axis: a linksim
 // impairment profile plus an optional hard outage window on one UAV.

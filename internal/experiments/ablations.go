@@ -8,6 +8,7 @@ import (
 	"sesame/internal/campaign"
 	"sesame/internal/colloc"
 	"sesame/internal/geo"
+	"sesame/internal/platform"
 	"sesame/internal/safedrones"
 	"sesame/internal/statdist"
 	"sesame/internal/uavsim"
@@ -125,15 +126,15 @@ func RunAblations(seed int64) (*AblationResult, error) {
 		var sum, worst float64
 		count := 0
 		for s := int64(1); s <= 4; s++ {
-			w := uavsim.NewWorld(testOrigin, seed+s)
-			affected, err := w.AddUAV(uavsim.UAVConfig{ID: "affected", Home: testOrigin})
+			w := uavsim.NewWorld(platform.ClassicHome, seed+s)
+			affected, err := w.AddUAV(uavsim.UAVConfig{ID: "affected", Home: platform.ClassicHome})
 			if err != nil {
 				return nil, err
 			}
 			_ = affected.TakeOff(25)
 			var observers []*colloc.Observer
 			for i := 0; i < n; i++ {
-				home := geo.Destination(testOrigin, float64(i)*120+30, 150)
+				home := geo.Destination(platform.ClassicHome, float64(i)*120+30, 150)
 				a, err := w.AddUAV(uavsim.UAVConfig{ID: "as" + string(rune('0'+i)), Home: home})
 				if err != nil {
 					return nil, err

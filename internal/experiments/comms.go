@@ -104,12 +104,9 @@ func RunComms(seed int64) (*CommsResult, error) {
 }
 
 func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
-	w := uavsim.NewWorld(testOrigin, seed)
-	ids := []string{"u1", "u2", "u3"}
-	for _, id := range ids {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
-			return nil, err
-		}
+	w, _, area, err := platform.ClassicMission{Seed: seed, UAVs: 3, SideM: 350}.Build()
+	if err != nil {
+		return nil, err
 	}
 	p, err := platform.New(w, nil, platform.DefaultConfig())
 	if err != nil {
@@ -125,12 +122,12 @@ func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
 		}
 		return ""
 	})
-	for _, id := range ids {
-		layer.Link(id).SetProfile(spec.profile)
+	for _, u := range w.UAVs() {
+		layer.Link(u.ID()).SetProfile(spec.profile)
 	}
 
 	start := w.Clock.Now()
-	if err := p.StartMission(squareArea(350)); err != nil {
+	if err := p.StartMission(area); err != nil {
 		return nil, err
 	}
 	const outageUAV = "u2"
@@ -191,8 +188,8 @@ func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
 	if err := enc.Encode(status); err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		for _, ev := range p.Coordinator.History(id) {
+	for _, u := range w.UAVs() {
+		for _, ev := range p.Coordinator.History(u.ID()) {
 			if strings.HasPrefix(ev.Summary, "lost link:") {
 				sc.LostLinkEvents++
 			}

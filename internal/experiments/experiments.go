@@ -11,23 +11,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"sesame/internal/geo"
 )
-
-// testOrigin anchors every experiment's mission area (Cyprus, where
-// the paper's field trials flew).
-var testOrigin = geo.LatLng{Lat: 35.1856, Lng: 33.3823}
-
-// squareArea returns a side x side mission square north-east of the
-// origin.
-func squareArea(side float64) geo.Polygon {
-	a := geo.Destination(testOrigin, 45, 80)
-	b := geo.Destination(a, 90, side)
-	c := geo.Destination(b, 0, side)
-	d := geo.Destination(a, 0, side)
-	return geo.Polygon{a, b, c, d}
-}
 
 // printf writes formatted output, ignoring errors (report streams).
 func printf(w io.Writer, format string, args ...interface{}) {

@@ -490,34 +490,3 @@ func TestRunCommsShape(t *testing.T) {
 		t.Errorf("abandoned writes not counted as drops: %+v vs %+v", db.Drops, db.DBRetries)
 	}
 }
-
-func TestRunFlightRecShape(t *testing.T) {
-	r, err := RunFlightRec(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Match {
-		t.Errorf("resumed digest %s diverges from uninterrupted %s",
-			r.DigestResumed, r.DigestUninterrupted)
-	}
-	if r.TickRecords == 0 || uint64(r.TickRecords) != r.FinalTick {
-		t.Errorf("recorded %d tick records for %d ticks", r.TickRecords, r.FinalTick)
-	}
-	if r.Snapshots == 0 {
-		t.Error("recording holds no checkpoints")
-	}
-	if r.ResumeTick == 0 || r.ResumeTick > r.CrashTick {
-		t.Errorf("resume tick %d not at or before crash tick %d", r.ResumeTick, r.CrashTick)
-	}
-	if r.FaultRecords == 0 {
-		t.Error("the fault cocktail left no fault records")
-	}
-	if r.Segments == 0 || r.BytesOnDisk == 0 {
-		t.Error("recording files missing")
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	if !strings.Contains(buf.String(), "PASS") {
-		t.Errorf("report does not declare PASS:\n%s", buf.String())
-	}
-}

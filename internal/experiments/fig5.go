@@ -106,11 +106,9 @@ func RunFig5(seed int64) (*Fig5Result, error) {
 
 	// Part 2: the platform-level availability comparison.
 	runPlatform := func(sesame bool) (avail, completion float64, err error) {
-		w := uavsim.NewWorld(testOrigin, seed)
-		for _, id := range []string{"u1", "u2", "u3"} {
-			if _, err := w.AddUAV(uavsim.UAVConfig{ID: id, Home: testOrigin, CruiseSpeedMS: 12}); err != nil {
-				return 0, 0, err
-			}
+		w, _, area, err := platform.ClassicMission{Seed: seed, UAVs: 3, SideM: 350}.Build()
+		if err != nil {
+			return 0, 0, err
 		}
 		cfg := platform.DefaultConfig()
 		cfg.SESAME = sesame
@@ -120,9 +118,10 @@ func RunFig5(seed int64) (*Fig5Result, error) {
 		}
 		defer p.Close()
 		start := w.Clock.Now()
-		if err := p.StartMission(squareArea(350)); err != nil {
+		if err := p.StartMission(area); err != nil {
 			return 0, 0, err
 		}
+		// Anchored after the climb-out, like sesame-mission's flags.
 		at := w.Clock.Now() + 60
 		if err := w.ScheduleFault(uavsim.BatteryCollapseFault(at, "u1", 70, 40)); err != nil {
 			return 0, 0, err

@@ -8,6 +8,7 @@ import (
 	"sesame/internal/geo"
 	"sesame/internal/ids"
 	"sesame/internal/mqttlite"
+	"sesame/internal/platform"
 	"sesame/internal/sar"
 	"sesame/internal/security"
 	"sesame/internal/uavsim"
@@ -37,15 +38,15 @@ type Fig6Result struct {
 // and under a spoofing attack starting mid-mission — and records the
 // true-track deviation and the detection chain.
 func RunFig6(seed int64) (*Fig6Result, error) {
-	area := squareArea(300)
+	area := platform.ClassicArea(300)
 	path, err := sar.BoustrophedonPath(area, 40)
 	if err != nil {
 		return nil, err
 	}
 
 	mkWorld := func() (*uavsim.World, *uavsim.UAV, error) {
-		w := uavsim.NewWorld(testOrigin, seed)
-		u, err := w.AddUAV(uavsim.UAVConfig{ID: "u1", Home: testOrigin, CruiseSpeedMS: 10})
+		w := uavsim.NewWorld(platform.ClassicHome, seed)
+		u, err := w.AddUAV(uavsim.UAVConfig{ID: "u1", Home: platform.ClassicHome, CruiseSpeedMS: 10})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -102,7 +103,7 @@ func RunFig6(seed int64) (*Fig6Result, error) {
 		return nil, err
 	}
 
-	proj := geo.NewProjection(testOrigin)
+	proj := geo.NewProjection(platform.ClassicHome)
 	var sumDev float64
 	n := 0
 	for ts := attacked.Clock.Now(); ts < 400; ts++ {

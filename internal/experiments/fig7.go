@@ -6,6 +6,7 @@ import (
 	"sesame/internal/campaign"
 	"sesame/internal/colloc"
 	"sesame/internal/geo"
+	"sesame/internal/platform"
 	"sesame/internal/uavsim"
 )
 
@@ -33,8 +34,8 @@ type Fig7Result struct {
 // RunFig7 stages the spoofed UAV (GPS cut after detection) and two
 // assisting UAVs, runs the collaborative landing, and records tracks.
 func RunFig7(seed int64) (*Fig7Result, error) {
-	w := uavsim.NewWorld(testOrigin, seed)
-	victim, err := w.AddUAV(uavsim.UAVConfig{ID: "victim", Home: testOrigin, CruiseSpeedMS: 8})
+	w := uavsim.NewWorld(platform.ClassicHome, seed)
+	victim, err := w.AddUAV(uavsim.UAVConfig{ID: "victim", Home: platform.ClassicHome, CruiseSpeedMS: 8})
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +45,7 @@ func RunFig7(seed int64) (*Fig7Result, error) {
 	assistants := make([]*uavsim.UAV, 2)
 	var observers []*colloc.Observer
 	for i := range assistants {
-		home := geo.Destination(testOrigin, float64(i)*180+60, 160)
+		home := geo.Destination(platform.ClassicHome, float64(i)*180+60, 160)
 		a, err := w.AddUAV(uavsim.UAVConfig{ID: "assist" + string(rune('1'+i)), Home: home})
 		if err != nil {
 			return nil, err
@@ -65,14 +66,14 @@ func RunFig7(seed int64) (*Fig7Result, error) {
 
 	// Post-detection state: the victim's GPS is untrusted and cut.
 	victim.GPS.Mode = uavsim.GPSModeDropout
-	target := geo.Destination(testOrigin, 135, 130)
+	target := geo.Destination(platform.ClassicHome, 135, 130)
 	ctrl, err := colloc.NewController(victim, target, observers, w)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Fig7Result{LandingTarget: target, Observers: len(observers)}
-	proj := geo.NewProjection(testOrigin)
+	proj := geo.NewProjection(platform.ClassicHome)
 	start := w.Clock.Now()
 	for step := 0; step < 1200 && victim.Mode() != uavsim.ModeLanded; step++ {
 		ctrl.Step()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"sesame/internal/detection"
+	"sesame/internal/platform"
 )
 
 // NightRow is one (visibility, modality) operating point.
@@ -35,7 +36,7 @@ func RunNight(seed int64) (*NightResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	area := squareArea(60)
+	area := platform.ClassicArea(60)
 	scene, err := detection.NewRandomScene(area, 12, 0.25, rng)
 	if err != nil {
 		return nil, err

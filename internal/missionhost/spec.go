@@ -17,9 +17,7 @@ import (
 	"fmt"
 	"regexp"
 
-	"sesame/internal/detection"
 	"sesame/internal/eddi"
-	"sesame/internal/geo"
 	"sesame/internal/platform"
 	"sesame/internal/scenario"
 	"sesame/internal/uavsim"
@@ -28,7 +26,8 @@ import (
 // Spec declares one hosted mission. Exactly one of three shapes:
 // a generated archetype (Archetype set), a full declarative scenario
 // document (Scenario set), or the classic demo mission (neither set:
-// UAVs sweeping the 400 m square, as cmd/sesame-gcs has always flown).
+// platform.ClassicMission with UAVs and Persons over the 400 m square,
+// as cmd/sesame-gcs flies it).
 // The host rebuilds a mission from its normalized Spec whenever it
 // rehydrates a parked checkpoint, so every field must round-trip
 // through JSON deterministically.
@@ -67,10 +66,6 @@ const (
 	defaultSpecPersons  = 10
 	defaultSpecHorizonS = 600
 )
-
-// classicHome anchors the classic demo mission — the same Nicosia
-// origin cmd/sesame-gcs has always used.
-var classicHome = geo.LatLng{Lat: 35.1856, Lng: 33.3823}
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 
@@ -193,24 +188,9 @@ func (s *Spec) build(cfg platform.Config) (*built, error) {
 		}
 		return &built{world: run.World, p: run.Platform, end: run.World.Clock.Now() + sc.HorizonS}, nil
 	}
-	w := uavsim.NewWorld(classicHome, s.Seed)
-	for i := 1; i <= s.UAVs; i++ {
-		if _, err := w.AddUAV(uavsim.UAVConfig{ID: fmt.Sprintf("u%d", i), Home: classicHome, CruiseSpeedMS: 12}); err != nil {
-			return nil, err
-		}
-	}
-	a := geo.Destination(classicHome, 45, 80)
-	b := geo.Destination(a, 90, 400)
-	c := geo.Destination(b, 0, 400)
-	d := geo.Destination(a, 0, 400)
-	area := geo.Polygon{a, b, c, d}
-	var scene *detection.Scene
-	if s.Persons > 0 {
-		var err error
-		scene, err = detection.NewRandomScene(area, s.Persons, 0.2, w.Clock.Stream("scene"))
-		if err != nil {
-			return nil, err
-		}
+	w, scene, area, err := platform.ClassicMission{Seed: s.Seed, UAVs: s.UAVs, Persons: s.Persons}.Build()
+	if err != nil {
+		return nil, err
 	}
 	p, err := platform.New(w, scene, cfg)
 	if err != nil {

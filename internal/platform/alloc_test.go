@@ -40,7 +40,7 @@ func TestTickAllocCeilings(t *testing.T) {
 			cfg.Cells = tc.cells
 			cfg.Workers = tc.workers
 			p := buildFleet(t, cfg, 7, tc.uavs, 12)
-			if err := p.StartMission(missionArea(tc.side)); err != nil {
+			if err := p.StartMission(ClassicArea(tc.side)); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 30; i++ {

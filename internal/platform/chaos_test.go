@@ -62,7 +62,7 @@ func newTestWorld(t *testing.T, seed int64) *uavsim.World {
 // battery collapse and a GPS spoof layered under the chaos plan.
 func startChaosMission(t *testing.T, p *Platform) {
 	t.Helper()
-	if err := p.StartMission(missionArea(350)); err != nil {
+	if err := p.StartMission(ClassicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	now := p.World.Clock.Now()
@@ -228,7 +228,7 @@ func TestMonitorQuarantineBreaker(t *testing.T) {
 	cfg := DefaultConfig() // BreakerFailures 3, BreakerCooldownS 30
 	cfg.Observability = obsv.NewRegistry()
 	p, layer := buildChaosPlatform(t, cfg, 5, plan)
-	if err := p.StartMission(missionArea(350)); err != nil {
+	if err := p.StartMission(ClassicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +300,7 @@ func TestRecorderDegradedMode(t *testing.T) {
 	}
 	defer rec.Close()
 	p.SetRecorder(rec)
-	if err := p.StartMission(missionArea(350)); err != nil {
+	if err := p.StartMission(ClassicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	runUntil(t, p, 120)

@@ -24,7 +24,7 @@ func buildFleet(t *testing.T, cfg Config, seed int64, n, persons int) *Platform 
 	var scene *detection.Scene
 	if persons > 0 {
 		var err error
-		scene, err = detection.NewRandomScene(missionArea(400), persons, 0.2, w.Clock.Stream("scene"))
+		scene, err = detection.NewRandomScene(ClassicArea(400), persons, 0.2, w.Clock.Stream("scene"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestShardedSchedulerDeterminism(t *testing.T) {
 				cfg.Cells = cells
 				cfg.Workers = workers
 				p := buildPlatform(t, cfg, sc.seed, sc.persons)
-				if err := p.StartMission(missionArea(350)); err != nil {
+				if err := p.StartMission(ClassicArea(350)); err != nil {
 					t.Fatal(err)
 				}
 				if sc.faults != nil {
@@ -118,7 +118,7 @@ func TestShardedDeterminismProperty(t *testing.T) {
 			cfg.Cells = cells
 			cfg.Workers = workers
 			p := buildFleet(t, cfg, seed, n, persons)
-			if err := p.StartMission(missionArea(350)); err != nil {
+			if err := p.StartMission(ClassicArea(350)); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < ticks; i++ {
@@ -156,7 +156,7 @@ func TestShardedDropCountersMerged(t *testing.T) {
 		cfg.Cells = cells
 		cfg.Workers = 4
 		p := buildFleet(t, cfg, 6, 6, 0)
-		if err := p.StartMission(missionArea(300)); err != nil {
+		if err := p.StartMission(ClassicArea(300)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
@@ -193,7 +193,7 @@ func TestShardedCheckpointCountersDrained(t *testing.T) {
 	cfg.Origin = "203.0.113.5"
 	cfg.Cells = 3
 	p := buildFleet(t, cfg, 6, 6, 0)
-	if err := p.StartMission(missionArea(300)); err != nil {
+	if err := p.StartMission(ClassicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

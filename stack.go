@@ -320,6 +320,12 @@ func NewPlatform(w *World, scene *Scene, cfg PlatformConfig) (*Platform, error) 
 	return platform.New(w, scene, cfg)
 }
 
+// ClassicMission declares the paper's §V demo mission (u1..uN over
+// the survey square north-east of ClassicHome). Build returns the
+// world, scene and area; build the platform with NewPlatform and call
+// StartMission yourself.
+type ClassicMission = platform.ClassicMission
+
 // PlatformHandler serves the platform status over HTTP (the web GUI
 // data feed).
 func PlatformHandler(p *Platform) http.Handler { return p.Handler() }
