@@ -161,8 +161,16 @@ func TestCampaignResumeByteIdentical(t *testing.T) {
 	t.Run("hard-cancel", func(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
+		// Runs after the first wait for the cancel before they fly, so
+		// the cut lands mid-sweep however the workers are scheduled.
 		eng, err := New(tinySpec(), Options{OutDir: dir, Workers: 2, SyncEvery: 1,
-			OnResult: func(Result) { cancel() }})
+			OnResult: func(Result) { cancel() },
+			RunFaultHook: func(index, _ int) error {
+				if index > 0 {
+					<-ctx.Done()
+				}
+				return nil
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -294,6 +294,11 @@ dispatch:
 		if e.opts.MaxRuns > 0 && executed >= e.opts.MaxRuns {
 			break dispatch
 		}
+		// A cancelled sweep dispatches nothing more, even when a worker
+		// is free: the select below picks among ready cases at random.
+		if runCtx.Err() != nil {
+			break dispatch
+		}
 		select {
 		case jobs <- run:
 			executed++
