@@ -96,7 +96,7 @@ func parseArgs(args []string) (gcsOptions, error) {
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
 	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
 	fs.IntVar(&o.tickMS, "tick-ms", 200, "wall-clock milliseconds per simulated second")
-	fs.Float64Var(&o.spoofAt, "spoof", 0, "inject a spoofing attack on u2 this many seconds after the climb-out (0 = off)")
+	fs.Float64Var(&o.spoofAt, "spoof", 0, "inject a spoofing attack on u2 this many seconds after launch (0 = off)")
 	fs.StringVar(&o.blackbox, "blackbox", "", "record the mission into this black-box directory and serve /blackbox")
 	fs.BoolVar(&o.multi, "multi", false, "serve a multi-mission host (POST /missions) instead of the single demo mission")
 	fs.StringVar(&o.parkDir, "park-dir", "", "directory for parked mission checkpoints (-multi; empty = temporary)")
@@ -135,32 +135,28 @@ func defaultGCSOptions() gcsOptions {
 	return o
 }
 
+// stationHorizonS is the demo mission document's horizon: the schema's
+// maximum, since the station flies until it is stopped.
+const stationHorizonS = 86400
+
 // newGCS builds the seeded demo mission: u1..uN sweeping a 400 m
 // square with ten survivors, fully instrumented.
 func newGCS(o gcsOptions) (*gcs, error) {
-	world, scene, area, err := sesame.ClassicMission{Seed: o.seed, UAVs: o.uavs, Persons: 10}.Build()
-	if err != nil {
-		return nil, err
+	sc := sesame.ClassicScenario(o.seed, o.uavs, 10, 400)
+	sc.HorizonS = stationHorizonS
+	if o.spoofAt > 0 {
+		sc.Timeline = append(sc.Timeline, sesame.GPSSpoofEvent(o.spoofAt, "u2"))
 	}
 	reg := sesame.NewObsvRegistry()
 	reg.SetTrace(sesame.NewObsvTraceRing(4096))
 	cfg := sesame.DefaultPlatformConfig()
 	cfg.Observability = reg
 	cfg.Cells = o.cells
-	p, err := sesame.NewPlatform(world, scene, cfg)
+	launched, err := sesame.LaunchScenario(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if o.spoofAt > 0 {
-		if err := world.ScheduleFault(sesame.GPSSpoofFault(world.Clock.Now()+o.spoofAt, "u2", 135, 3)); err != nil {
-			p.Close()
-			return nil, err
-		}
-	}
+	world, p := launched.World, launched.Platform
 	g := &gcs{world: world, p: p, reg: reg}
 	if o.blackbox != "" {
 		rec, err := sesame.NewFlightRecorder(o.blackbox, o.seed, p.ConfigDigest(), 50, sesame.FlightRecorderOptions{})

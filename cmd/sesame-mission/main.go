@@ -8,13 +8,14 @@
 //
 //	sesame-mission                         # nominal mission, SESAME on
 //	sesame-mission -sesame=false           # reactive baseline
-//	sesame-mission -battery-fault=60       # §V-A battery collapse at t=60
-//	sesame-mission -spoof=30 -spoof-uav=u2 # §V-C spoofing attack at t=30
+//	sesame-mission -battery-fault=60       # §V-A battery collapse 60 s after launch
+//	sesame-mission -spoof=30 -spoof-uav=u2 # §V-C spoofing attack 30 s after launch
 //	sesame-mission -uavs 128 -cells 0      # fleet-scale sharded run
 //	sesame-mission -scenario examples/scenarios/maritime_sar.json
 //	sesame-mission -scenario urban_canyon -seed 7  # generated archetype
 //	sesame-mission -record box/            # fly with the black box on
 //	sesame-mission -resume box/            # resume a crashed mission
+//	sesame-mission -scenario f.json -record box/  # record a scenario flight
 //	sesame-mission -replay box/            # dump a recording, no sim
 //	sesame-mission -debug-addr :6060       # /metrics + /debug/pprof/
 package main
@@ -64,8 +65,8 @@ func parseArgs(args []string) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
 	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
-	fs.Float64Var(&o.batteryFault, "battery-fault", 0, "inject a battery collapse on u1 this many seconds after the climb-out (0 = off)")
-	fs.Float64Var(&o.spoofAt, "spoof", 0, "start a GPS spoofing attack this many seconds after the climb-out (0 = off)")
+	fs.Float64Var(&o.batteryFault, "battery-fault", 0, "inject a battery collapse on u1 this many seconds after launch (0 = off)")
+	fs.Float64Var(&o.spoofAt, "spoof", 0, "start a GPS spoofing attack this many seconds after launch (0 = off)")
 	fs.StringVar(&o.spoofUAV, "spoof-uav", "u2", "victim of the spoofing attack")
 	fs.IntVar(&o.persons, "persons", 10, "persons scattered in the search area")
 	fs.Float64Var(&o.horizon, "horizon", 1500, "maximum mission time in seconds")
@@ -73,7 +74,7 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.asJSON, "json", false, "print status snapshots as JSON")
 	fs.StringVar(&o.record, "record", "", "record the mission into this black-box directory")
 	fs.IntVar(&o.snapshotEvery, "snapshot-every", 50, "full checkpoint cadence in ticks while recording")
-	fs.StringVar(&o.resume, "resume", "", "resume a crashed mission from this black-box directory (pass the same scenario flags)")
+	fs.StringVar(&o.resume, "resume", "", "resume a crashed mission from this black-box directory (pass the same mission flags)")
 	fs.Uint64Var(&o.resumeTick, "resume-tick", 0, "resume from the newest checkpoint at or before this tick (0 = latest)")
 	fs.StringVar(&o.replay, "replay", "", "dump this black-box recording and exit (no simulation)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics and /debug/pprof/ on this address")
@@ -87,11 +88,9 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.scenario != "" {
 		// A scenario declares its own fleet, faults, chaos and horizon;
-		// combining it with the classic scenario flags would silently
-		// ignore one side or the other.
+		// combining it with the classic mission's fault and chaos flags
+		// would silently ignore one side or the other.
 		switch {
-		case o.record != "" || o.resume != "" || o.replay != "":
-			return o, errors.New("-scenario does not combine with the black-box flags")
 		case o.chaosPath != "":
 			return o, errors.New("-scenario does not combine with -chaos (embed the plan in the scenario's chaos field)")
 		case o.batteryFault != 0 || o.spoofAt != 0:
@@ -127,17 +126,42 @@ func run(opts options, out io.Writer) error {
 	if opts.replay != "" {
 		return replayDump(opts.replay, out)
 	}
-	if opts.scenario != "" {
-		return runScenario(opts, out)
-	}
-
-	world, p, chaosLayer, err := buildMission(opts)
+	sc, err := missionScenario(opts)
 	if err != nil {
 		return err
 	}
+
+	cfg := sesame.DefaultPlatformConfig()
+	cfg.SESAME = opts.sesameOn
+	cfg.Cells = opts.cells
+	if opts.debugAddr != "" {
+		reg := sesame.NewObsvRegistry()
+		reg.SetTrace(sesame.NewObsvTraceRing(4096))
+		cfg.Observability = reg
+	}
+	// The mission end and the fault timeline are fixed at launch, before
+	// any restore, so a resumed run stops at exactly the tick, and
+	// injects its faults at exactly the times, the uninterrupted run
+	// would have; injections already applied before the checkpoint are
+	// dropped by the restore.
+	launched, err := sesame.LaunchScenario(sc, cfg)
+	if err != nil {
+		return err
+	}
+	p, world := launched.Platform, launched.World
 	defer p.Close()
-	if chaosLayer != nil {
-		fmt.Fprintf(out, "chaos armed from %s (plan seed %d)\n", opts.chaosPath, chaosLayer.Plan().Seed)
+	end := world.Clock.Now() + sc.HorizonS
+	fmt.Fprintf(out, "mission %s: %d UAVs, %d site(s), horizon %.0f s\n",
+		sc.Name, len(sc.Fleet), len(sc.Sites), sc.HorizonS)
+	for _, ev := range sc.Timeline {
+		fmt.Fprintf(out, "scheduled: %s on %s at t=+%.0f s after launch\n", ev.Kind, ev.UAV, ev.AtS)
+	}
+	if launched.Chaos != nil {
+		from := opts.chaosPath
+		if from == "" {
+			from = "scenario"
+		}
+		fmt.Fprintf(out, "chaos armed from %s (plan seed %d)\n", from, launched.Chaos.Plan().Seed)
 	}
 
 	if opts.debugAddr != "" {
@@ -149,16 +173,8 @@ func run(opts options, out io.Writer) error {
 		fmt.Fprintf(out, "debug endpoints on http://%s/metrics and /debug/pprof/\n", ln.Addr())
 	}
 
-	// The mission end and the fault schedule are fixed before any
-	// restore, so a resumed run stops at exactly the tick, and injects
-	// its faults at exactly the times, the uninterrupted run would have.
-	end := world.Clock.Now() + opts.horizon
-	if err := scheduleFaults(opts, world, out); err != nil {
-		return err
-	}
-
 	if opts.resume != "" {
-		tick, err := resumeFromBlackBox(opts, p)
+		tick, err := resumeFromBlackBox(opts.resume, opts.resumeTick, sc.Seed, p)
 		if err != nil {
 			return err
 		}
@@ -167,10 +183,10 @@ func run(opts options, out io.Writer) error {
 
 	if opts.record != "" {
 		recOpts := sesame.FlightRecorderOptions{}
-		if chaosLayer != nil {
-			recOpts = chaosLayer.RecorderOptions(recOpts)
+		if launched.Chaos != nil {
+			recOpts = launched.Chaos.RecorderOptions(recOpts)
 		}
-		rec, err := sesame.NewFlightRecorder(opts.record, opts.seed, p.ConfigDigest(),
+		rec, err := sesame.NewFlightRecorder(opts.record, sc.Seed, p.ConfigDigest(),
 			opts.snapshotEvery, recOpts)
 		if err != nil {
 			return err
@@ -198,8 +214,8 @@ func run(opts options, out io.Writer) error {
 	if av, err := p.Availability(); err == nil {
 		fmt.Fprintf(out, "\nfleet availability: %.1f%%   mission decision: %s\n", av*100, p.Decision())
 	}
-	if chaosLayer != nil {
-		st := chaosLayer.Stats()
+	if launched.Chaos != nil {
+		st := launched.Chaos.Stats()
 		fmt.Fprintf(out, "chaos injections: %d total (%d monitor panics, %d monitor errors, %d latency spikes, %d bus, %d broker, %d db, %d recorder)\n",
 			st.Total(), st.MonitorPanics, st.MonitorErrors, st.MonitorLatency,
 			st.BusFailures, st.BrokerFailures, st.DBFailures, st.RecorderFaults)
@@ -207,177 +223,61 @@ func run(opts options, out io.Writer) error {
 	return nil
 }
 
-// loadScenario resolves the -scenario value: an existing file is
-// strict-parsed, anything else must name a generator archetype (seeded
-// by -seed). A scenario file's own seed always wins over -seed.
-func loadScenario(opts options) (*sesame.Scenario, error) {
-	if data, err := os.ReadFile(opts.scenario); err == nil {
-		return sesame.LoadScenario(data)
-	}
-	for _, arch := range sesame.ScenarioArchetypes() {
-		if arch == opts.scenario {
-			return sesame.GenerateScenario(opts.seed, arch)
+// missionScenario resolves the mission document. -scenario names a
+// strict-JSON file (whose own seed wins over -seed) or a generator
+// archetype seeded by -seed. Without it the flags describe the classic
+// §V mission: -uavs, -persons and -horizon size it, -battery-fault and
+// -spoof put the paper's faults on its timeline, and -chaos embeds a
+// plan. The same flags rebuild the same document, which is what makes
+// black-box resume possible.
+func missionScenario(opts options) (*sesame.Scenario, error) {
+	if opts.scenario != "" {
+		if data, err := os.ReadFile(opts.scenario); err == nil {
+			return sesame.LoadScenario(data)
 		}
-	}
-	return nil, fmt.Errorf("-scenario %q: not a readable file and not an archetype (known: %v)",
-		opts.scenario, sesame.ScenarioArchetypes())
-}
-
-// runScenario flies a declarative scenario end to end: the scenario
-// supplies world, fleet, faults, links and horizon; the flags only
-// choose the platform regime (-sesame, -cells) and reporting.
-func runScenario(opts options, out io.Writer) error {
-	sc, err := loadScenario(opts)
-	if err != nil {
-		return err
-	}
-
-	cfg := sesame.DefaultPlatformConfig()
-	cfg.SESAME = opts.sesameOn
-	cfg.Cells = opts.cells
-	if opts.debugAddr != "" {
-		reg := sesame.NewObsvRegistry()
-		reg.SetTrace(sesame.NewObsvTraceRing(4096))
-		cfg.Observability = reg
-	}
-	run, err := sesame.LaunchScenario(sc, cfg)
-	if err != nil {
-		return err
-	}
-	p, world := run.Platform, run.World
-	defer p.Close()
-	fmt.Fprintf(out, "scenario %s: %d UAVs, %d site(s), horizon %.0f s\n",
-		sc.Name, len(sc.Fleet), len(sc.Sites), sc.HorizonS)
-	if run.Chaos != nil {
-		fmt.Fprintf(out, "chaos armed from scenario (plan seed %d)\n", run.Chaos.Plan().Seed)
-	}
-
-	if opts.debugAddr != "" {
-		ln, err := startDebug(opts.debugAddr, p.Observability())
-		if err != nil {
-			return err
+		for _, arch := range sesame.ScenarioArchetypes() {
+			if arch == opts.scenario {
+				return sesame.GenerateScenario(opts.seed, arch)
+			}
 		}
-		defer ln.Close()
-		fmt.Fprintf(out, "debug endpoints on http://%s/metrics and /debug/pprof/\n", ln.Addr())
+		return nil, fmt.Errorf("-scenario %q: not a readable file and not an archetype (known: %v)",
+			opts.scenario, sesame.ScenarioArchetypes())
 	}
-
-	end := world.Clock.Now() + sc.HorizonS
-	nextStatus := world.Clock.Now()
-	for world.Clock.Now() < end {
-		if err := p.Tick(); err != nil {
-			return err
-		}
-		if world.Clock.Now() >= nextStatus {
-			printStatus(out, p.Status(), opts.asJSON)
-			nextStatus += opts.every
-		}
-		if done(p) {
-			break
-		}
+	sc := sesame.ClassicScenario(opts.seed, opts.uavs, opts.persons, 400)
+	sc.HorizonS = opts.horizon
+	if opts.batteryFault > 0 {
+		sc.Timeline = append(sc.Timeline, sesame.BatteryCollapseEvent(opts.batteryFault, "u1"))
 	}
-	printStatus(out, p.Status(), opts.asJSON)
-	if av, err := p.Availability(); err == nil {
-		fmt.Fprintf(out, "\nfleet availability: %.1f%%   mission decision: %s\n", av*100, p.Decision())
+	if opts.spoofAt > 0 {
+		sc.Timeline = append(sc.Timeline, sesame.GPSSpoofEvent(opts.spoofAt, opts.spoofUAV))
 	}
-	if run.Chaos != nil {
-		st := run.Chaos.Stats()
-		fmt.Fprintf(out, "chaos injections: %d total (%d monitor panics, %d monitor errors, %d latency spikes, %d bus, %d broker, %d db, %d recorder)\n",
-			st.Total(), st.MonitorPanics, st.MonitorErrors, st.MonitorLatency,
-			st.BusFailures, st.BrokerFailures, st.DBFailures, st.RecorderFaults)
-	}
-	return nil
-}
-
-// buildMission constructs the classic mission — world, fleet, scene,
-// platform, mission start — exactly the same way every run of a given
-// option set does, which is what makes black-box resume possible. A
-// -chaos plan is part of the scenario: its injections are a pure
-// function of (plan seed, sim time), so rebuilding with the same plan
-// reproduces them.
-func buildMission(opts options) (*sesame.World, *sesame.Platform, *sesame.ChaosLayer, error) {
-	world, scene, area, err := sesame.ClassicMission{Seed: opts.seed, UAVs: opts.uavs, Persons: opts.persons}.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	var chaosLayer *sesame.ChaosLayer
 	if opts.chaosPath != "" {
 		data, err := os.ReadFile(opts.chaosPath)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		plan, err := sesame.LoadChaosPlan(data)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if chaosLayer, err = sesame.NewChaosLayer(world, plan); err != nil {
-			return nil, nil, nil, err
-		}
+		sc.Chaos = &plan
 	}
-
-	cfg := sesame.DefaultPlatformConfig()
-	cfg.SESAME = opts.sesameOn
-	cfg.Cells = opts.cells
-	if chaosLayer != nil {
-		if mb := chaosLayer.MonitorBuilder(); mb != nil {
-			cfg.ExtraMonitors = append(cfg.ExtraMonitors, mb)
-		}
-	}
-	if opts.debugAddr != "" {
-		reg := sesame.NewObsvRegistry()
-		reg.SetTrace(sesame.NewObsvTraceRing(4096))
-		cfg.Observability = reg
-	}
-	p, err := sesame.NewPlatform(world, scene, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if chaosLayer != nil {
-		sesame.ArmChaos(chaosLayer, world, p)
-	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, nil, nil, err
-	}
-	return world, p, chaosLayer, nil
-}
-
-// scheduleFaults injects the flag-selected fault scenarios at their
-// offsets from the end of the climb-out (campaign classic runs and
-// scenario timelines count from its start instead; see
-// platform.ClassicMission). Resumed runs schedule them identically
-// before restoring; injections already applied before the checkpoint
-// are dropped by the restore.
-func scheduleFaults(opts options, world *sesame.World, out io.Writer) error {
-	if opts.batteryFault > 0 {
-		at := world.Clock.Now() + opts.batteryFault
-		if err := world.ScheduleFault(sesame.BatteryCollapseFault(at, "u1", 70, 40)); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "scheduled: battery collapse on u1 at t=+%.0f s\n", opts.batteryFault)
-	}
-	if opts.spoofAt > 0 {
-		at := world.Clock.Now() + opts.spoofAt
-		if err := world.ScheduleFault(sesame.GPSSpoofFault(at, opts.spoofUAV, 135, 3)); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "scheduled: GPS spoofing on %s at t=+%.0f s\n", opts.spoofUAV, opts.spoofAt)
-	}
-	return nil
+	return sc, nil
 }
 
 // resumeFromBlackBox overlays the recording's newest usable checkpoint
-// onto the freshly built scenario and returns the restored tick.
-func resumeFromBlackBox(opts options, p *sesame.Platform) (uint64, error) {
-	snap, hdr, err := sesame.LatestFlightSnapshot(opts.resume, opts.resumeTick)
+// at or before maxTick onto the freshly launched mission, whose
+// document has the given seed, and returns the restored tick.
+func resumeFromBlackBox(dir string, maxTick uint64, seed int64, p *sesame.Platform) (uint64, error) {
+	snap, hdr, err := sesame.LatestFlightSnapshot(dir, maxTick)
 	if err != nil {
 		return 0, err
 	}
-	if hdr.Seed != opts.seed {
-		return 0, fmt.Errorf("recording was flown with -seed %d, not %d", hdr.Seed, opts.seed)
+	if hdr.Seed != seed {
+		return 0, fmt.Errorf("recording was flown with seed %d, not %d (pass the same -seed or scenario)", hdr.Seed, seed)
 	}
 	if hdr.ConfigDigest != p.ConfigDigest() {
-		return 0, fmt.Errorf("recording config digest %s does not match this platform (%s); pass the same scenario flags", hdr.ConfigDigest, p.ConfigDigest())
+		return 0, fmt.Errorf("recording config digest %s does not match this platform (%s); pass the same mission flags", hdr.ConfigDigest, p.ConfigDigest())
 	}
 	var ps sesame.PlatformCheckpoint
 	if err := json.Unmarshal(snap.State, &ps); err != nil {

@@ -86,20 +86,35 @@ func finalStatusJSON(t *testing.T, out string) string {
 }
 
 // TestRecordResumeReplay drives the full black-box cycle through the
-// CLI entry points on the §V fault cocktail (GPS spoofing at +30 s,
-// battery collapse at +60 s): a recorded mission, resumed mid-flight
-// on a fresh process, must print a final fleet status byte-identical
-// to the uninterrupted run's; the recording must hold one tick record
-// per tick flown and the injected faults; the replay dump must
-// describe the recording.
+// CLI entry points, on the classic mission with the §V fault cocktail
+// (GPS spoofing at +30 s, battery collapse at +60 s after launch) and
+// on the urban_canyon scenario document (lossy, reordering links; a
+// spoof at +90 s): a recorded mission, resumed mid-flight on a fresh
+// process, must print a final fleet status byte-identical to the
+// uninterrupted run's; the recording must hold one tick record per
+// tick flown and the injected faults; the replay dump must describe
+// the recording.
 func TestRecordResumeReplay(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "box")
-	base := options{
-		sesameOn: true, seed: 7, uavs: 3, spoofAt: 30, spoofUAV: "u2",
-		batteryFault: 60, persons: 5, horizon: 400, every: 1e9, asJSON: true,
-		snapshotEvery: 25,
-	}
+	t.Run("classic", func(t *testing.T) {
+		// Resume before the battery collapse fires (checkpoint at tick
+		// 25, collapse at 60 s) and after it.
+		recordResumeReplay(t, options{
+			sesameOn: true, seed: 7, uavs: 3, spoofAt: 30, spoofUAV: "u2",
+			batteryFault: 60, persons: 5, horizon: 400, every: 1e9, asJSON: true,
+			snapshotEvery: 25,
+		}, []uint64{25, 200}, "seed 7")
+	})
+	t.Run("scenario", func(t *testing.T) {
+		// The document's seed (7) is recorded, not -seed.
+		recordResumeReplay(t, options{
+			sesameOn: true, seed: 1, scenario: "../../examples/scenarios/urban_canyon.json",
+			every: 1e9, asJSON: true, snapshotEvery: 25,
+		}, []uint64{40, 200}, "seed 7")
+	})
+}
 
+func recordResumeReplay(t *testing.T, base options, resumeTicks []uint64, seedFrag string) {
+	dir := filepath.Join(t.TempDir(), "box")
 	var plain bytes.Buffer
 	if err := run(base, &plain); err != nil {
 		t.Fatal(err)
@@ -117,9 +132,7 @@ func TestRecordResumeReplay(t *testing.T) {
 	}
 	checkRecording(t, dir, want)
 
-	// Resume before the spoof fires (checkpoint at tick 25, spoof at
-	// 30 s) and after it.
-	for _, tick := range []uint64{25, 200} {
+	for _, tick := range resumeTicks {
 		resOpts := base
 		resOpts.resume = dir
 		resOpts.resumeTick = tick
@@ -142,7 +155,7 @@ func TestRecordResumeReplay(t *testing.T) {
 	if err := run(options{replay: dir}, &dump); err != nil {
 		t.Fatal(err)
 	}
-	for _, wantFrag := range []string{"seed 7", "snapshot every 25 ticks", "checkpoints at ticks", "last recorded tick"} {
+	for _, wantFrag := range []string{seedFrag, "snapshot every 25 ticks", "checkpoints at ticks", "last recorded tick"} {
 		if !strings.Contains(dump.String(), wantFrag) {
 			t.Errorf("replay dump missing %q:\n%s", wantFrag, dump.String())
 		}

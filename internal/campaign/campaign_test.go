@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"sesame/internal/linksim"
+	"sesame/internal/scenario"
 )
 
 // tinySpec is the shared test sweep: 2 seeds × 2 links × 2 faults = 8
@@ -108,6 +110,19 @@ func TestSpecValidate(t *testing.T) {
 	dup.Normalize()
 	if err := dup.Validate(); err == nil {
 		t.Fatal("duplicate link variant validated")
+	}
+	// Grid points compile into scenario documents, whose bounds apply.
+	late := tinySpec()
+	late.Faults = append(late.Faults, FaultVariant{Name: "battery-late", BatteryAtS: late.HorizonS + 1})
+	late.Normalize()
+	if err := late.Validate(); err == nil || !strings.Contains(err.Error(), "battery-late") {
+		t.Fatalf("fault after the horizon validated (%v)", err)
+	}
+	huge := tinySpec()
+	huge.Fleets = []int{scenario.MaxFleet + 1}
+	huge.Normalize()
+	if err := huge.Validate(); err == nil {
+		t.Fatal("fleet above scenario.MaxFleet validated")
 	}
 }
 

@@ -14,10 +14,8 @@ import (
 	"strings"
 
 	"sesame/internal/eddi"
-	"sesame/internal/linksim"
 	"sesame/internal/platform"
 	"sesame/internal/scenario"
-	"sesame/internal/uavsim"
 )
 
 // Result is the compact per-run record streamed into the aggregator
@@ -83,10 +81,35 @@ type scratch struct {
 
 func newScratch() *scratch { return &scratch{} }
 
+// document compiles the run into the scenario document it flies: the
+// generated archetype on the scenarios axis, otherwise the classic
+// mission with the link variant on every vehicle's link (plus its
+// outage window) and the fault variant on the timeline.
+func (run Run) document(spec *Spec) (*scenario.Scenario, error) {
+	if run.Scenario != "" {
+		return scenario.GenerateN(run.Seed, run.Scenario, run.Fleet)
+	}
+	sc := scenario.Classic(run.Seed, run.Fleet, spec.Persons, spec.AreaSideM)
+	sc.HorizonS = spec.HorizonS
+	sc.Links = []scenario.Link{{Profile: run.Link.Profile}}
+	if l := run.Link; l.OutageDurS > 0 {
+		sc.Links = append(sc.Links, scenario.Link{UAV: l.OutageUAV, Profile: l.Profile,
+			OutageFromS: l.OutageStartS, OutageToS: l.OutageStartS + l.OutageDurS})
+	}
+	if f := run.Fault; f.BatteryAtS > 0 {
+		sc.Timeline = append(sc.Timeline, scenario.BatteryCollapse(f.BatteryAtS, f.BatteryUAV))
+	}
+	if f := run.Fault; f.SpoofAtS > 0 {
+		sc.Timeline = append(sc.Timeline, scenario.GPSSpoof(f.SpoofAtS, f.SpoofUAV))
+	}
+	return sc, nil
+}
+
 // executeRun flies one grid point to its horizon and reduces it to a
 // Result. The platform is forced onto the serial scheduler path
 // (Workers=1): campaign parallelism is run-level, and the scheduler is
-// bit-identical across pool sizes anyway.
+// bit-identical across pool sizes anyway. Completion and detection
+// times count from launch, like the fault times.
 func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 	res := Result{
 		Index: run.Index, Key: run.Key(), Seed: run.Seed,
@@ -95,62 +118,21 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 		Scenario:      run.Scenario,
 		SafetyDetectS: -1, SecurityDetectS: -1,
 	}
-	if run.Scenario != "" {
-		return executeScenarioRun(spec, run, sc, res)
-	}
-
-	w, scene, area, err := platform.ClassicMission{
-		Seed: run.Seed, UAVs: run.Fleet, Persons: spec.Persons, SideM: spec.AreaSideM,
-	}.Build()
+	doc, err := run.document(spec)
 	if err != nil {
 		return res, err
 	}
-
 	cfg := platform.DefaultConfig()
 	cfg.Workers = 1
 	cfg.Cells = run.Cells
-	p, err := platform.New(w, scene, cfg)
+	sr, err := platform.LaunchScenario(doc, cfg)
 	if err != nil {
 		return res, err
 	}
-	defer p.Close()
+	defer sr.Platform.Close()
+	p, w := sr.Platform, sr.World
 
-	layer := linksim.New(w.Clock, run.Link.Name)
-	layer.AttachBus(w.Bus)
-	layer.AttachBroker(p.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
-	for _, u := range w.UAVs() {
-		layer.Link(u.ID()).SetProfile(run.Link.Profile)
-	}
-
-	// Outages and faults count from before the climb-out, like scenario
-	// timelines (see platform.ClassicMission on the anchor split).
-	start := w.Clock.Now()
-	if err := p.StartMission(area); err != nil {
-		return res, err
-	}
-	if run.Link.OutageDurS > 0 {
-		from := start + run.Link.OutageStartS
-		layer.Link(run.Link.OutageUAV).AddOutage(from, from+run.Link.OutageDurS)
-	}
-	if run.Fault.BatteryAtS > 0 {
-		at := start + run.Fault.BatteryAtS
-		if err := w.ScheduleFault(uavsim.BatteryCollapseFault(at, run.Fault.BatteryUAV, 70, 40)); err != nil {
-			return res, err
-		}
-	}
-	if run.Fault.SpoofAtS > 0 {
-		at := start + run.Fault.SpoofAtS
-		if err := w.ScheduleFault(uavsim.GPSSpoofFault(at, run.Fault.SpoofUAV, 135, 3)); err != nil {
-			return res, err
-		}
-	}
-
-	end := start + spec.HorizonS
+	end := w.Clock.Now() + doc.HorizonS
 	for w.Clock.Now() < end {
 		if err := p.Tick(); err != nil {
 			return res, err
@@ -160,7 +142,7 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 			break
 		}
 	}
-	res.CompletionS = w.Clock.Now() - start
+	res.CompletionS = w.Clock.Now() - sr.Start
 	res.Ticks = p.Ticks()
 	res.Decision = p.Decision().String()
 	if res.Availability, err = p.Availability(); err != nil {
@@ -176,61 +158,6 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 	res.Drops = status.Drops.Total()
 	res.WorldDrops = status.WorldDrops.TelemetryPublish
 	res.DBRetries = status.DBRetries.Scheduled
-	for _, s := range layer.Stats() {
-		res.LinkOffered += s.Offered
-		res.LinkDelivered += s.Delivered
-		res.LinkDropped += s.Dropped
-	}
-
-	history := p.Coordinator.History("")
-	res.scanHistory(history, run, start)
-	res.Digest = missionDigest(sc, status, p.Decision().String(), history, res.Availability)
-	return res, nil
-}
-
-// executeScenarioRun flies one scenarios-axis grid point: the world,
-// fleet, link profiles and fault timeline all come from the generated
-// archetype — the (seed, archetype, fleet, cells) tuple fully
-// determines the run, so the bit-reproducibility contract is the same
-// as the classic path's.
-func executeScenarioRun(spec *Spec, run Run, sc *scratch, res Result) (Result, error) {
-	gen, err := scenario.GenerateN(run.Seed, run.Scenario, run.Fleet)
-	if err != nil {
-		return res, err
-	}
-	cfg := platform.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Cells = run.Cells
-	sr, err := platform.LaunchScenario(gen, cfg)
-	if err != nil {
-		return res, err
-	}
-	defer sr.Platform.Close()
-	p, w := sr.Platform, sr.World
-
-	start := w.Clock.Now()
-	end := start + gen.HorizonS
-	for w.Clock.Now() < end {
-		if err := p.Tick(); err != nil {
-			return res, err
-		}
-		if p.MissionComplete() {
-			res.Completed = true
-			break
-		}
-	}
-	res.CompletionS = w.Clock.Now() - start
-	res.Ticks = p.Ticks()
-	res.Decision = p.Decision().String()
-	if res.Availability, err = p.Availability(); err != nil {
-		return res, err
-	}
-	res.Availability = math.Round(res.Availability*1e12) / 1e12
-
-	status := p.Status()
-	res.Drops = status.Drops.Total()
-	res.WorldDrops = status.WorldDrops.TelemetryPublish
-	res.DBRetries = status.DBRetries.Scheduled
 	if sr.Links != nil {
 		for _, s := range sr.Links.Stats() {
 			res.LinkOffered += s.Offered
@@ -240,7 +167,7 @@ func executeScenarioRun(spec *Spec, run Run, sc *scratch, res Result) (Result, e
 	}
 
 	history := p.Coordinator.History("")
-	res.scanHistory(history, run, start)
+	res.scanHistory(history, run, sr.Start)
 	res.Digest = missionDigest(sc, status, p.Decision().String(), history, res.Availability)
 	return res, nil
 }

@@ -254,6 +254,21 @@ func (s *Spec) Validate() error {
 		if s.Persons > 0 {
 			return errors.New("campaign: the scenarios axis replaces persons (scenarios scatter their own detection targets)")
 		}
+		return nil
+	}
+	// Every classic grid point compiles into a scenario document; the
+	// seed never changes whether one is valid, so checking one seed's
+	// grid fails a bad point here rather than mid-sweep.
+	one := *s
+	one.SeedCount = 1
+	for _, run := range one.Expand() {
+		doc, err := run.document(s)
+		if err == nil {
+			err = doc.Validate()
+		}
+		if err != nil {
+			return fmt.Errorf("campaign: run %s: %w", run.Key(), err)
+		}
 	}
 	return nil
 }

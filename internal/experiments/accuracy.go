@@ -9,8 +9,8 @@ import (
 	"sesame/internal/detection"
 	"sesame/internal/geo"
 	"sesame/internal/neural"
-	"sesame/internal/platform"
 	"sesame/internal/safeml"
+	"sesame/internal/scenario"
 	"sesame/internal/sinadra"
 )
 
@@ -68,9 +68,9 @@ func trainDetectorSurrogate(det *detection.Detector, rng *rand.Rand) (*neural.Ne
 	// "Shifted" design set for TK-neuron selection: high-altitude
 	// frames.
 	shifted := make([][]float64, 200)
-	scene := &detection.Scene{Area: platform.ClassicArea(200)}
+	scene := &detection.Scene{Area: scenario.ClassicSquare(200)}
 	for i := range shifted {
-		f, err := det.Capture("design", float64(i), platform.ClassicHome, detection.Conditions{AltitudeM: 60, Visibility: 1}, scene)
+		f, err := det.Capture("design", float64(i), classicHome, detection.Conditions{AltitudeM: 60, Visibility: 1}, scene)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -127,7 +127,7 @@ func RunAccuracy(seed int64) (*AccuracyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	area := platform.ClassicArea(60) // compact cluster so every person stays in view
+	area := scenario.ClassicSquare(60) // compact cluster so every person stays in view
 	scene, err := detection.NewRandomScene(area, 12, 0.25, rng)
 	if err != nil {
 		return nil, err

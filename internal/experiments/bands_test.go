@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -129,7 +130,7 @@ func TestPaperBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(t.Context()); err != nil {
+	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

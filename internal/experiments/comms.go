@@ -9,6 +9,7 @@ import (
 
 	"sesame/internal/linksim"
 	"sesame/internal/platform"
+	"sesame/internal/scenario"
 	"sesame/internal/uavsim"
 )
 
@@ -104,36 +105,20 @@ func RunComms(seed int64) (*CommsResult, error) {
 }
 
 func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
-	w, _, area, err := platform.ClassicMission{Seed: seed, UAVs: 3, SideM: 350}.Build()
-	if err != nil {
-		return nil, err
-	}
-	p, err := platform.New(w, nil, platform.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-
-	layer := linksim.New(w.Clock, spec.name)
-	layer.AttachBus(w.Bus)
-	layer.AttachBroker(p.Broker, func(topic string) string {
-		if uav, ok := strings.CutPrefix(topic, "alerts/ids/"); ok {
-			return uav
-		}
-		return ""
-	})
-	for _, u := range w.UAVs() {
-		layer.Link(u.ID()).SetProfile(spec.profile)
-	}
-
-	start := w.Clock.Now()
-	if err := p.StartMission(area); err != nil {
-		return nil, err
-	}
 	const outageUAV = "u2"
+	doc := scenario.Classic(seed, 3, 0, 350)
+	doc.HorizonS = 1800
+	doc.Links = []scenario.Link{{Profile: spec.profile}}
 	if spec.outageDur > 0 {
-		layer.Link(outageUAV).AddOutage(start+spec.outageStart, start+spec.outageStart+spec.outageDur)
+		doc.Links = append(doc.Links, scenario.Link{UAV: outageUAV, Profile: spec.profile,
+			OutageFromS: spec.outageStart, OutageToS: spec.outageStart + spec.outageDur})
 	}
+	run, err := platform.LaunchScenario(doc, platform.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	w, p, start := run.World, run.Platform, run.Start
+	defer p.Close()
 	if spec.dbDur > 0 {
 		from, to := start+spec.dbStart, start+spec.dbStart+spec.dbDur
 		p.DB.SetFaultHook(func(string) error {
@@ -149,8 +134,8 @@ func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
 		OutageUAV: outageUAV, OutageStart: spec.outageStart,
 		OutageDur: spec.outageDur, DBOutageDur: spec.dbDur,
 	}
-	const horizon = 1800
-	for w.Clock.Now() < start+horizon {
+	end := w.Clock.Now() + doc.HorizonS
+	for w.Clock.Now() < end {
 		if err := p.Tick(); err != nil {
 			return nil, err
 		}
@@ -172,7 +157,7 @@ func runCommsOnce(seed int64, spec commsSpec) (*commsOutcome, error) {
 	sc.Drops = status.Drops
 	sc.WorldDrops = status.WorldDrops
 	sc.DBRetries = status.DBRetries
-	for _, s := range layer.Stats() {
+	for _, s := range run.Links.Stats() {
 		sc.Link.Offered += s.Offered
 		sc.Link.Delivered += s.Delivered
 		sc.Link.Dropped += s.Dropped

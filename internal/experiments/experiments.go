@@ -11,7 +11,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"sesame/internal/scenario"
 )
+
+// classicHome is the classic mission's launch point; every experiment
+// flies from it.
+var classicHome = scenario.Home.LatLng()
 
 // printf writes formatted output, ignoring errors (report streams).
 func printf(w io.Writer, format string, args ...interface{}) {

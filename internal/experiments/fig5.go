@@ -5,7 +5,7 @@ import (
 
 	"sesame/internal/platform"
 	"sesame/internal/safedrones"
-	"sesame/internal/uavsim"
+	"sesame/internal/scenario"
 )
 
 // Fig5Point is one sample of the probability-of-failure curve.
@@ -106,31 +106,22 @@ func RunFig5(seed int64) (*Fig5Result, error) {
 
 	// Part 2: the platform-level availability comparison.
 	runPlatform := func(sesame bool) (avail, completion float64, err error) {
-		w, _, area, err := platform.ClassicMission{Seed: seed, UAVs: 3, SideM: 350}.Build()
-		if err != nil {
-			return 0, 0, err
-		}
+		sc := scenario.Classic(seed, 3, 0, 350)
+		sc.HorizonS = 1500
+		sc.Timeline = []scenario.Event{scenario.BatteryCollapse(60, "u1")}
 		cfg := platform.DefaultConfig()
 		cfg.SESAME = sesame
-		p, err := platform.New(w, nil, cfg)
+		run, err := platform.LaunchScenario(sc, cfg)
 		if err != nil {
 			return 0, 0, err
 		}
+		p := run.Platform
 		defer p.Close()
-		start := w.Clock.Now()
-		if err := p.StartMission(area); err != nil {
-			return 0, 0, err
-		}
-		// Anchored after the climb-out, like sesame-mission's flags.
-		at := w.Clock.Now() + 60
-		if err := w.ScheduleFault(uavsim.BatteryCollapseFault(at, "u1", 70, 40)); err != nil {
-			return 0, 0, err
-		}
-		if err := p.RunMission(1500); err != nil {
+		if err := p.RunMission(sc.HorizonS); err != nil {
 			return 0, 0, err
 		}
 		avail, err = p.Availability()
-		return avail, w.Clock.Now() - start, err
+		return avail, run.World.Clock.Now() - run.Start, err
 	}
 	if res.AvailabilityEDDI, res.CompletionEDDIS, err = runPlatform(true); err != nil {
 		return nil, err

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 
 	"sesame/internal/detection"
-	"sesame/internal/platform"
+	"sesame/internal/scenario"
 )
 
 // NightRow is one (visibility, modality) operating point.
@@ -36,7 +36,7 @@ func RunNight(seed int64) (*NightResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	area := platform.ClassicArea(60)
+	area := scenario.ClassicSquare(60)
 	scene, err := detection.NewRandomScene(area, 12, 0.25, rng)
 	if err != nil {
 		return nil, err

@@ -7,8 +7,8 @@ import (
 
 	"sesame/internal/detection"
 	"sesame/internal/geo"
-	"sesame/internal/platform"
 	"sesame/internal/sar"
+	"sesame/internal/scenario"
 	"sesame/internal/uavsim"
 )
 
@@ -35,7 +35,7 @@ type PatternResult struct {
 // RunPatterns flies both patterns over identical scenes and scores
 // coverage, path length and detection timing.
 func RunPatterns(seed int64) (*PatternResult, error) {
-	area := platform.ClassicArea(300)
+	area := scenario.ClassicSquare(300)
 	centre, err := area.Centroid()
 	if err != nil {
 		return nil, err
@@ -62,8 +62,8 @@ func RunPatterns(seed int64) (*PatternResult, error) {
 		{"spiral-inward", spPath},
 		{"expanding-square", esPath},
 	} {
-		w := uavsim.NewWorld(platform.ClassicHome, seed)
-		u, err := w.AddUAV(uavsim.UAVConfig{ID: "u1", Home: platform.ClassicHome, CruiseSpeedMS: 10})
+		w := uavsim.NewWorld(classicHome, seed)
+		u, err := w.AddUAV(uavsim.UAVConfig{ID: "u1", Home: classicHome, CruiseSpeedMS: 10})
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"sesame/internal/mqttlite"
-	"sesame/internal/obsv"
 	"sesame/internal/rosbus"
 	"sesame/internal/simclock"
 )
@@ -84,14 +83,6 @@ type Link struct {
 	held    *heldFrame
 	pending int
 	stats   LinkStats
-	m       linkMetrics
-}
-
-// linkMetrics holds the link's resolved observability counters. All
-// fields are nil (no-op) until Layer.Instrument installs a registry.
-type linkMetrics struct {
-	offered, delivered, dropped, outageDropped *obsv.Counter
-	rejected, delayed, duplicated, reordered   *obsv.Counter
 }
 
 // Layer multiplexes links over a bus and/or broker. The zero value is
@@ -101,56 +92,6 @@ type Layer struct {
 	clock *simclock.Clock
 	name  string
 	links map[string]*Link
-	vecs  *layerVecs
-}
-
-// layerVecs holds the per-outcome counter families, one series per
-// link, created by Instrument.
-type layerVecs struct {
-	offered, delivered, dropped, outageDropped *obsv.CounterVec
-	rejected, delayed, duplicated, reordered   *obsv.CounterVec
-}
-
-// Instrument mirrors every link's frame-fate counters into reg, one
-// series per link name. Links created later are instrumented on
-// creation; a nil registry leaves the layer uninstrumented.
-func (l *Layer) Instrument(reg *obsv.Registry) {
-	if reg == nil {
-		return
-	}
-	v := &layerVecs{
-		offered:       reg.CounterVec("sesame_link_offered_total", "Frames offered to the link.", "link"),
-		delivered:     reg.CounterVec("sesame_link_delivered_total", "Frames delivered (including duplicates).", "link"),
-		dropped:       reg.CounterVec("sesame_link_dropped_total", "Frames lost (stochastic drop or outage).", "link"),
-		outageDropped: reg.CounterVec("sesame_link_outage_dropped_total", "Frames lost inside an outage window.", "link"),
-		rejected:      reg.CounterVec("sesame_link_rejected_total", "Frames rejected with ErrLinkDown.", "link"),
-		delayed:       reg.CounterVec("sesame_link_delayed_total", "Frames queued for delayed release.", "link"),
-		duplicated:    reg.CounterVec("sesame_link_duplicated_total", "Frames delivered twice.", "link"),
-		reordered:     reg.CounterVec("sesame_link_reordered_total", "Frames held to swap with a later one.", "link"),
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.vecs = v
-	for name, lk := range l.links {
-		lk.m = v.forLink(name)
-	}
-}
-
-// forLink resolves one link's counter set out of the families.
-func (v *layerVecs) forLink(name string) linkMetrics {
-	if v == nil {
-		return linkMetrics{}
-	}
-	return linkMetrics{
-		offered:       v.offered.With(name),
-		delivered:     v.delivered.With(name),
-		dropped:       v.dropped.With(name),
-		outageDropped: v.outageDropped.With(name),
-		rejected:      v.rejected.With(name),
-		delayed:       v.delayed.With(name),
-		duplicated:    v.duplicated.With(name),
-		reordered:     v.reordered.With(name),
-	}
 }
 
 // New returns a fault layer drawing randomness from clock's streams.
@@ -173,7 +114,6 @@ func (l *Layer) Link(name string) *Link {
 			layer: l,
 			name:  name,
 			rng:   l.clock.Stream("linksim/" + l.name + "/" + name),
-			m:     l.vecs.forLink(name),
 		}
 		l.links[name] = lk
 	}
@@ -328,20 +268,16 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 	l := lk.layer
 	l.mu.Lock()
 	lk.stats.Offered++
-	lk.m.offered.Inc()
 	now := l.clock.Now()
 
 	if down, reject := lk.outageAt(now); down {
 		if reject {
 			lk.stats.Rejected++
-			lk.m.rejected.Inc()
 			l.mu.Unlock()
 			return false, ErrLinkDown
 		}
 		lk.stats.Dropped++
 		lk.stats.OutageDropped++
-		lk.m.dropped.Inc()
-		lk.m.outageDropped.Inc()
 		l.mu.Unlock()
 		return false, nil
 	}
@@ -353,7 +289,6 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 	// of the frame sequence and prior outcomes.
 	if p.DropProb > 0 && lk.rng.Float64() < p.DropProb {
 		lk.stats.Dropped++
-		lk.m.dropped.Inc()
 		l.mu.Unlock()
 		return false, nil
 	}
@@ -363,7 +298,6 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 		lk.held = hf
 		lk.pending++
 		lk.stats.Reordered++
-		lk.m.reordered.Inc()
 		holdMax := p.HoldMaxS
 		l.clock.After(holdMax, "linksim/"+l.name+"/"+lk.name+"/hold", func() {
 			l.mu.Lock()
@@ -377,7 +311,6 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 			}
 			lk.pending--
 			lk.stats.Delivered++
-			lk.m.delivered.Inc()
 			l.mu.Unlock()
 			hf.deliver()
 		})
@@ -394,18 +327,15 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 		}
 		copies := 1
 		lk.stats.Delayed++
-		lk.m.delayed.Inc()
 		if dup {
 			copies = 2
 			lk.stats.Duplicated++
-			lk.m.duplicated.Inc()
 		}
 		lk.pending += copies
 		l.clock.After(amount, "linksim/"+l.name+"/"+lk.name+"/delay", func() {
 			l.mu.Lock()
 			lk.pending -= copies
 			lk.stats.Delivered += uint64(copies)
-			lk.m.delivered.Add(uint64(copies))
 			l.mu.Unlock()
 			for i := 0; i < copies; i++ {
 				deliver()
@@ -424,15 +354,11 @@ func (lk *Link) transit(deliver func()) (bool, error) {
 		lk.held = nil
 		lk.pending--
 		lk.stats.Delivered++ // the released frame
-		lk.m.delivered.Inc()
 	}
 	lk.stats.Delivered++ // this frame
-	lk.m.delivered.Inc()
 	if dup {
 		lk.stats.Duplicated++
 		lk.stats.Delivered++
-		lk.m.duplicated.Inc()
-		lk.m.delivered.Inc()
 	}
 	l.mu.Unlock()
 

@@ -98,11 +98,11 @@ func (h *Host) Status(id string) ([]byte, error) {
 	k := cacheKey{mission: id, seq: snap.Seq}
 	if body, ok := h.cache.get(k); ok {
 		h.cacheHits.Add(1)
-		h.met.cacheHitsTotal.inc(1)
+		h.met.cacheHitsTotal.Inc()
 		return body, nil
 	}
 	h.cacheMisses.Add(1)
-	h.met.cacheMissesTotal.inc(1)
+	h.met.cacheMissesTotal.Inc()
 	body, err := json.Marshal(snap)
 	if err != nil {
 		return nil, err

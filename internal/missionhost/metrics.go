@@ -11,22 +11,14 @@ type metrics struct {
 	parked   *obsv.Gauge
 	watchers *obsv.Gauge
 
-	rounds            counterMirror
-	ticks             counterMirror
-	parksTotal        counterMirror
-	rehydrationsTotal counterMirror
-	sseDropsTotal     counterMirror
-	cacheHitsTotal    counterMirror
-	cacheMissesTotal  counterMirror
-}
-
-// counterMirror is a nil-safe obsv counter handle.
-type counterMirror struct{ c *obsv.Counter }
-
-func (m counterMirror) inc(n uint64) {
-	if m.c != nil {
-		m.c.Add(n)
-	}
+	// Counters are nil-safe: a nil handle counts nothing.
+	rounds            *obsv.Counter
+	ticks             *obsv.Counter
+	parksTotal        *obsv.Counter
+	rehydrationsTotal *obsv.Counter
+	sseDropsTotal     *obsv.Counter
+	cacheHitsTotal    *obsv.Counter
+	cacheMissesTotal  *obsv.Counter
 }
 
 func newMetrics(reg *obsv.Registry) *metrics {
@@ -37,12 +29,12 @@ func newMetrics(reg *obsv.Registry) *metrics {
 	m.live = reg.Gauge("sesame_missionhost_missions_live", "missions resident in memory")
 	m.parked = reg.Gauge("sesame_missionhost_missions_parked", "missions checkpointed to disk")
 	m.watchers = reg.Gauge("sesame_missionhost_watchers", "open SSE subscriptions")
-	m.rounds = counterMirror{reg.Counter("sesame_missionhost_rounds_total", "host scheduling rounds run")}
-	m.ticks = counterMirror{reg.Counter("sesame_missionhost_ticks_total", "mission simulation ticks run")}
-	m.parksTotal = counterMirror{reg.Counter("sesame_missionhost_parks_total", "missions parked (checkpoint + evict)")}
-	m.rehydrationsTotal = counterMirror{reg.Counter("sesame_missionhost_rehydrations_total", "parked missions rebuilt from checkpoint")}
-	m.sseDropsTotal = counterMirror{reg.Counter("sesame_missionhost_sse_dropped_total", "snapshots dropped on full subscriber queues")}
-	m.cacheHitsTotal = counterMirror{reg.Counter("sesame_missionhost_cache_hits_total", "rendered-status cache hits")}
-	m.cacheMissesTotal = counterMirror{reg.Counter("sesame_missionhost_cache_misses_total", "rendered-status cache misses")}
+	m.rounds = reg.Counter("sesame_missionhost_rounds_total", "host scheduling rounds run")
+	m.ticks = reg.Counter("sesame_missionhost_ticks_total", "mission simulation ticks run")
+	m.parksTotal = reg.Counter("sesame_missionhost_parks_total", "missions parked (checkpoint + evict)")
+	m.rehydrationsTotal = reg.Counter("sesame_missionhost_rehydrations_total", "parked missions rebuilt from checkpoint")
+	m.sseDropsTotal = reg.Counter("sesame_missionhost_sse_dropped_total", "snapshots dropped on full subscriber queues")
+	m.cacheHitsTotal = reg.Counter("sesame_missionhost_cache_hits_total", "rendered-status cache hits")
+	m.cacheMissesTotal = reg.Counter("sesame_missionhost_cache_misses_total", "rendered-status cache misses")
 	return m
 }

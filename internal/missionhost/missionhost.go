@@ -454,7 +454,7 @@ func (h *Host) Round() {
 	sort.Slice(work, func(i, j int) bool { return work[i].id < work[j].id })
 
 	round := h.rounds.Add(1)
-	h.met.rounds.inc(1)
+	h.met.rounds.Inc()
 
 	queue := make(chan *Mission)
 	var wg sync.WaitGroup
@@ -470,7 +470,7 @@ func (h *Host) Round() {
 				n := m.runBudget()
 				if n > 0 {
 					h.ticks.Add(n)
-					h.met.ticks.inc(n)
+					h.met.ticks.Add(n)
 				}
 			}
 		}()
@@ -635,7 +635,7 @@ func (m *Mission) parkLocked() error {
 	m.p, m.world = nil, nil
 	m.parked = true
 	m.host.parks.Add(1)
-	m.host.met.parksTotal.inc(1)
+	m.host.met.parksTotal.Inc()
 	return nil
 }
 
@@ -688,7 +688,7 @@ func (m *Mission) rehydrateLocked() (revived bool, err error) {
 		return true, err
 	}
 	m.host.rehydrations.Add(1)
-	m.host.met.rehydrationsTotal.inc(1)
+	m.host.met.rehydrationsTotal.Inc()
 	return true, nil
 }
 

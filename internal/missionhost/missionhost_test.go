@@ -66,6 +66,7 @@ func TestSpecParseRejects(t *testing.T) {
 		{"unknown archetype", `{"archetype":"volcano"}`},
 		{"bad scenario doc", `{"scenario":{"bogus":true}}`},
 		{"uavs too many", `{"uavs":99999}`},
+		{"uavs above the scenario fleet bound", `{"uavs":1025}`},
 		{"persons out of range", `{"persons":-2}`},
 		{"horizon out of range", `{"horizon_s":1e9}`},
 		{"negative cells", `{"cells":-1}`},

@@ -26,8 +26,8 @@ import (
 // Spec declares one hosted mission. Exactly one of three shapes:
 // a generated archetype (Archetype set), a full declarative scenario
 // document (Scenario set), or the classic demo mission (neither set:
-// platform.ClassicMission with UAVs and Persons over the 400 m square,
-// as cmd/sesame-gcs flies it).
+// scenario.Classic with UAVs and Persons over the 400 m square, as
+// cmd/sesame-gcs flies it).
 // The host rebuilds a mission from its normalized Spec whenever it
 // rehydrates a parked checkpoint, so every field must round-trip
 // through JSON deterministically.
@@ -57,7 +57,7 @@ type Spec struct {
 }
 
 const (
-	maxSpecUAVs     = 2048
+	maxSpecUAVs     = scenario.MaxFleet
 	maxSpecPersons  = 500
 	maxSpecHorizonS = 86400
 	maxTickBudget   = 1024
@@ -65,6 +65,9 @@ const (
 	defaultSpecUAVs     = 3
 	defaultSpecPersons  = 10
 	defaultSpecHorizonS = 600
+
+	// classicSideM is the classic mission's survey square side.
+	classicSideM = 400
 )
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
@@ -157,11 +160,17 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// resolveScenario returns the scenario document the Spec flies.
 func (s *Spec) resolveScenario() (*scenario.Scenario, error) {
-	if len(s.Scenario) > 0 {
+	switch {
+	case len(s.Scenario) > 0:
 		return scenario.Load(s.Scenario)
+	case s.Archetype != "":
+		return scenario.Generate(s.Seed, s.Archetype)
 	}
-	return scenario.Generate(s.Seed, s.Archetype)
+	sc := scenario.Classic(s.Seed, s.UAVs, s.Persons, classicSideM)
+	sc.HorizonS = s.HorizonS
+	return sc, nil
 }
 
 // built is one freshly constructed mission: a started platform plus
@@ -177,30 +186,15 @@ type built struct {
 // build constructs the mission the Spec declares, mission started and
 // ready to tick.
 func (s *Spec) build(cfg platform.Config) (*built, error) {
-	if s.scenarioMode() {
-		sc, err := s.resolveScenario()
-		if err != nil {
-			return nil, err
-		}
-		run, err := platform.LaunchScenario(sc, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &built{world: run.World, p: run.Platform, end: run.World.Clock.Now() + sc.HorizonS}, nil
-	}
-	w, scene, area, err := platform.ClassicMission{Seed: s.Seed, UAVs: s.UAVs, Persons: s.Persons}.Build()
+	sc, err := s.resolveScenario()
 	if err != nil {
 		return nil, err
 	}
-	p, err := platform.New(w, scene, cfg)
+	run, err := platform.LaunchScenario(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.StartMission(area); err != nil {
-		p.Close()
-		return nil, err
-	}
-	return &built{world: w, p: p, end: w.Clock.Now() + s.HorizonS}, nil
+	return &built{world: run.World, p: run.Platform, end: run.World.Clock.Now() + sc.HorizonS}, nil
 }
 
 // MissionDigest fingerprints a flown mission: status, decision, the

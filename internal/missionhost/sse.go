@@ -83,7 +83,7 @@ func (m *Mission) notify(snap *Snapshot) {
 			select {
 			case <-sub.ch:
 				m.host.sseDrops.Add(1)
-				m.host.met.sseDropsTotal.inc(1)
+				m.host.met.sseDropsTotal.Inc()
 			default:
 			}
 			select {

@@ -62,7 +62,7 @@ func TestDegradedCommsDeterministicReplay(t *testing.T) {
 		for _, id := range []string{"u1", "u2", "u3"} {
 			layer.Link(id).SetProfile(profile)
 		}
-		if err := p.StartMission(ClassicArea(350)); err != nil {
+		if err := p.StartMission(classicArea(350)); err != nil {
 			t.Fatal(err)
 		}
 		now := p.World.Clock.Now()
@@ -149,7 +149,7 @@ func TestLostLinkWatchdogLandsInPlace(t *testing.T) {
 	cfg.LostLinkLand = true
 	p := buildPlatform(t, cfg, 31, 0)
 	layer := attachLinkLayer(p)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	t0 := p.World.Clock.Now()
@@ -214,7 +214,7 @@ func TestMonitorPanicIsolated(t *testing.T) {
 		func(uav string) (eddi.Runtime, error) { return &panicMonitor{uav: uav, after: 60}, nil },
 	}
 	p := buildPlatform(t, cfg, 41, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 60; i++ {
@@ -280,7 +280,7 @@ func TestDropCountersAllCategories(t *testing.T) {
 		func(uav string) (eddi.Runtime, error) { return &severityBomb{}, nil },
 	}
 	a := buildPlatform(t, cfg, 51, 0)
-	if err := a.StartMission(ClassicArea(300)); err != nil {
+	if err := a.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	a.DB.SetFaultHook(func(uav string) error {
@@ -345,7 +345,7 @@ func TestDropCountersAllCategories(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
-	if err := b.StartMission(ClassicArea(200)); err != nil {
+	if err := b.StartMission(classicArea(200)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.World.ScheduleFault(uavsim.BatteryCollapseFault(b.World.Clock.Now()+30, "solo", 70, 40)); err != nil {
@@ -386,7 +386,7 @@ func TestDropCountersAllCategories(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	layer := attachLinkLayer(c)
-	if err := c.StartMission(ClassicArea(200)); err != nil {
+	if err := c.StartMission(classicArea(200)); err != nil {
 		t.Fatal(err)
 	}
 	layer.Link("solo").DownAt(c.World.Clock.Now() + 5)
@@ -412,7 +412,7 @@ func TestDropCountersAllCategories(t *testing.T) {
 // until it lands, and no drop is counted.
 func TestDBRetryRecoversFromTransientOutage(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 61, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	t0 := p.World.Clock.Now()
@@ -453,7 +453,7 @@ func TestNoFaultRunsUnchanged(t *testing.T) {
 			layer.Link("u2")
 			layer.Link("u3")
 		}
-		if err := p.StartMission(ClassicArea(300)); err != nil {
+		if err := p.StartMission(classicArea(300)); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.RunMission(1200); err != nil {

@@ -74,21 +74,6 @@ func (c *dropCounters) snapshot() DropCounters {
 	}
 }
 
-// drainInto moves this store's counts into dst, zeroing the source.
-// The sharded scheduler calls it at the tick barrier to fold each
-// cell's shard-local tallies into the platform totals; draining in
-// ascending cell order keeps the merge reproducible (the adds commute,
-// but a stable order costs nothing and reads deterministically).
-func (c *dropCounters) drainInto(dst *dropCounters) {
-	dst.database.Add(c.database.Swap(0))
-	dst.events.Add(c.events.Swap(0))
-	dst.availability.Add(c.availability.Swap(0))
-	dst.commands.Add(c.commands.Swap(0))
-	dst.mission.Add(c.mission.Swap(0))
-	dst.perception.Add(c.perception.Swap(0))
-	dst.monitors.Add(c.monitors.Swap(0))
-}
-
 // retryCounters is the internal atomic store behind RetryCounters;
 // retries are enqueued from the concurrent observe phase.
 type retryCounters struct {
@@ -103,13 +88,6 @@ func (c *retryCounters) snapshot() RetryCounters {
 		Succeeded: c.succeeded.Load(),
 		Abandoned: c.abandoned.Load(),
 	}
-}
-
-// drainInto is the retry-counter half of the tick-barrier merge.
-func (c *retryCounters) drainInto(dst *retryCounters) {
-	dst.scheduled.Add(c.scheduled.Swap(0))
-	dst.succeeded.Add(c.succeeded.Swap(0))
-	dst.abandoned.Add(c.abandoned.Swap(0))
 }
 
 // countIn increments ctr when err is non-nil and reports whether the

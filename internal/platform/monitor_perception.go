@@ -38,9 +38,9 @@ func (m *perceptionMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice,
 	var events []eddi.Event
 	if frame := m.pending; frame != nil {
 		m.pending = nil
-		countIn(&m.st.drops.perception, m.st.perception.Push(frame.Features))
+		countIn(&m.p.drops.perception, m.st.perception.Push(frame.Features))
 		if m.st.perception.Ready() {
-			if report, err := m.st.perception.Evaluate(); countIn(&m.st.drops.perception, err) {
+			if report, err := m.st.perception.Evaluate(); countIn(&m.p.drops.perception, err) {
 				m.st.uncertainty = report.Uncertainty
 				m.st.hasUncert = true
 				events = append(events, eddi.Event{

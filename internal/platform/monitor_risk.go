@@ -28,7 +28,7 @@ func (m *riskMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice, error
 		AltitudeM:   s.AltitudeM,
 		Visibility:  s.Visibility,
 	})
-	if !countIn(&m.st.drops.perception, err) {
+	if !countIn(&m.p.drops.perception, err) {
 		return nil, eddi.Advice{}, nil
 	}
 	s.Derived.RiskHigh = risk.RiskHigh

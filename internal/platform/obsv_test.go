@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func runScenario(t *testing.T, cfg Config, seed int64, horizon float64) *Platform {
 	t.Helper()
 	p := buildPlatform(t, cfg, seed, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RunMission(horizon); err != nil {
@@ -176,7 +176,7 @@ func TestMonitorPanicCounted(t *testing.T) {
 		func(uav string) (eddi.Runtime, error) { return &panicMonitor{uav: "u2", after: -1}, nil },
 	}
 	p := buildPlatform(t, cfg, 1, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Tick(); err != nil {

@@ -169,15 +169,9 @@ func AutoCells(n int) int {
 	return (n + 63) / 64
 }
 
-// cell is one contiguous shard [lo, hi) of the sorted fleet order plus
-// its shard-local failure counters. Vehicles tally into their own cell
-// during prepare and observe; the tick barrier drains every cell into
-// the platform totals in ascending cell order, so the merged counters
-// never depend on goroutine scheduling.
+// cell is one contiguous shard [lo, hi) of the sorted fleet order.
 type cell struct {
-	lo, hi  int
-	drops   dropCounters
-	retries retryCounters
+	lo, hi int
 }
 
 // uavState is the per-vehicle integration state.
@@ -237,12 +231,6 @@ type uavState struct {
 	// dbRetries is this UAV's pending database retry queue. Only the
 	// observe-phase worker that owns the UAV touches it, so no lock.
 	dbRetries []dbRetry
-	// drops and retries are the owning cell's shard-local counters,
-	// where this UAV's prepare/observe failures are tallied (drained
-	// into the platform totals at the tick barrier). Serial-phase call
-	// sites use the platform totals directly.
-	drops   *dropCounters
-	retries *retryCounters
 	// detRNG is the stream this UAV's captures draw from: the shared
 	// "platform/detector" stream in a one-cell layout, the vehicle's own
 	// split stream otherwise. Nil without a detector and scene.
@@ -328,6 +316,8 @@ type Platform struct {
 	// obs holds the resolved observability handles (nil when disabled).
 	obs *platformMetrics
 	// drops counts data-path failures that were previously discarded.
+	// Every phase counts into it: the stores are atomics and the adds
+	// commute, so concurrent cells need no shard-local tallies.
 	drops dropCounters
 	// retries counts the database retry-with-backoff machinery.
 	retries retryCounters
@@ -515,11 +505,8 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 		c.lo = ci * len(p.order) / nCells
 		c.hi = (ci + 1) * len(p.order) / nCells
 		for i := c.lo; i < c.hi; i++ {
-			st := p.states[p.order[i]]
-			st.drops = &c.drops
-			st.retries = &c.retries
 			if det != nil {
-				st.detRNG = det[i%len(det)]
+				p.states[p.order[i]].detRNG = det[i%len(det)]
 			}
 		}
 	}

@@ -8,10 +8,16 @@ import (
 	"sesame/internal/conserts"
 	"sesame/internal/detection"
 	"sesame/internal/geo"
+	"sesame/internal/scenario"
 	"sesame/internal/uavsim"
 )
 
-var origin = ClassicHome
+// origin and classicArea are the classic mission's home point and
+// survey square.
+var (
+	origin      = scenario.Home.LatLng()
+	classicArea = scenario.ClassicSquare
+)
 
 // buildPlatform spins up a 3-UAV world with an optional scene.
 func buildPlatform(t *testing.T, cfg Config, seed int64, persons int) *Platform {
@@ -26,7 +32,7 @@ func buildPlatform(t *testing.T, cfg Config, seed int64, persons int) *Platform 
 	var scene *detection.Scene
 	if persons > 0 {
 		var err error
-		scene, err = detection.NewRandomScene(ClassicArea(400), persons, 0.2, w.Clock.Stream("scene"))
+		scene, err = detection.NewRandomScene(classicArea(400), persons, 0.2, w.Clock.Stream("scene"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +63,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestStartMissionDispatchesFleet(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 1, 0)
-	if err := p.StartMission(ClassicArea(400)); err != nil {
+	if err := p.StartMission(classicArea(400)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.StartMission(ClassicArea(400)); err == nil {
+	if err := p.StartMission(classicArea(400)); err == nil {
 		t.Fatal("double start must fail")
 	}
 	for _, u := range p.World.UAVs() {
@@ -78,7 +84,7 @@ func TestStartMissionDispatchesFleet(t *testing.T) {
 
 func TestNominalMissionCompletes(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 2, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RunMission(1800); err != nil {
@@ -110,7 +116,7 @@ func TestFig5BatteryScenario(t *testing.T) {
 		cfg.SESAME = sesame
 		p := buildPlatform(t, cfg, 3, 0)
 		start := p.World.Clock.Now()
-		if err := p.StartMission(ClassicArea(350)); err != nil {
+		if err := p.StartMission(classicArea(350)); err != nil {
 			t.Fatal(err)
 		}
 		// Fault at mission-relative t=60: drop to 40% at 70C.
@@ -151,7 +157,7 @@ func TestFig5BatteryScenario(t *testing.T) {
 func TestSpoofingMitigationChain(t *testing.T) {
 	cfg := DefaultConfig()
 	p := buildPlatform(t, cfg, 4, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 30
@@ -196,7 +202,7 @@ func TestSpoofingMitigationChain(t *testing.T) {
 func TestAccuracyPipelineDescends(t *testing.T) {
 	cfg := DefaultConfig() // survey at 60 m
 	p := buildPlatform(t, cfg, 5, 12)
-	if err := p.StartMission(ClassicArea(400)); err != nil {
+	if err := p.StartMission(classicArea(400)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RunMission(900); err != nil {
@@ -226,7 +232,7 @@ func TestAccuracyPipelineDescends(t *testing.T) {
 
 func TestDatabasePopulated(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 6, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -296,7 +302,7 @@ func TestDatabaseOriginValidation(t *testing.T) {
 
 func TestStatusAndHandler(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 7, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -346,7 +352,7 @@ func TestBaselineHasNoSecurityDetection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SESAME = false
 	p := buildPlatform(t, cfg, 8, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 20
@@ -376,7 +382,7 @@ func BenchmarkPlatformTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.StartMission(ClassicArea(2000)); err != nil {
+	if err := p.StartMission(classicArea(2000)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

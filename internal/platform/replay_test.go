@@ -74,7 +74,7 @@ func buildReplayScenario(t *testing.T, sc replayScenario, workers int) *Platform
 			layer.Link(id).SetProfile(profile)
 		}
 	}
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	if sc.faults != nil {
@@ -182,7 +182,7 @@ func TestCheckpointRestoreErrors(t *testing.T) {
 	if err := p.RestoreCheckpoint(nil); err == nil {
 		t.Error("nil checkpoint must fail")
 	}
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -199,7 +199,7 @@ func TestCheckpointRestoreErrors(t *testing.T) {
 	other := DefaultConfig()
 	other.SurveyAltitudeM = 80
 	q := buildPlatform(t, other, 7, 0)
-	if err := q.StartMission(ClassicArea(350)); err != nil {
+	if err := q.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.RestoreCheckpoint(snap); err == nil {
@@ -208,7 +208,7 @@ func TestCheckpointRestoreErrors(t *testing.T) {
 
 	// A scenario already past the checkpoint time is refused.
 	late := buildPlatform(t, DefaultConfig(), 7, 0)
-	if err := late.StartMission(ClassicArea(350)); err != nil {
+	if err := late.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	for late.World.Clock.Now() <= snap.World.Time {
@@ -233,7 +233,7 @@ func TestCheckpointRestoreErrors(t *testing.T) {
 // have produced.
 func TestAppendRecordsMatchSchema(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 11, 4)
-	if err := p.StartMission(ClassicArea(400)); err != nil {
+	if err := p.StartMission(classicArea(400)); err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()

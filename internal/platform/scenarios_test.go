@@ -13,7 +13,7 @@ import (
 
 func TestRotorFailureEmergencyLandsAndRedistributes(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 10, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 30
@@ -51,7 +51,7 @@ func TestRotorFailureEmergencyLandsAndRedistributes(t *testing.T) {
 
 func TestCommsLossGroundsUAV(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 11, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 30
@@ -83,7 +83,7 @@ func TestCameraFailureDoesNotStopGPSMission(t *testing.T) {
 	// Camera loss alone leaves high-performance GPS navigation intact
 	// (Fig. 1): the mission continues.
 	p := buildPlatform(t, DefaultConfig(), 12, 6)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 20
@@ -126,7 +126,7 @@ func TestBaselineResumesAfterSwap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SESAME = false
 	p := buildPlatform(t, cfg, 13, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 60
@@ -153,7 +153,7 @@ func TestBaselineResumesAfterSwap(t *testing.T) {
 
 func TestJammingDetectedViaHijackTree(t *testing.T) {
 	p := buildPlatform(t, DefaultConfig(), 14, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 30
@@ -189,7 +189,7 @@ func TestCombinedBatteryAndSpoofingStress(t *testing.T) {
 	// collaboratively, u1 flies on under the EDDI policy — and the
 	// survivors absorb the work.
 	p := buildPlatform(t, DefaultConfig(), 15, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	now := p.World.Clock.Now()
@@ -237,7 +237,7 @@ func TestNightMissionAutoThermal(t *testing.T) {
 	cfg.Visibility = 0.3
 	cfg.SurveyAltitudeM = 30 // near reference: little altitude drift
 	thermal := buildPlatform(t, cfg, 16, 10)
-	if err := thermal.StartMission(ClassicArea(350)); err != nil {
+	if err := thermal.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	if err := thermal.RunMission(900); err != nil {
@@ -247,7 +247,7 @@ func TestNightMissionAutoThermal(t *testing.T) {
 	cfgRGB := cfg
 	cfgRGB.UseThermalBelow = 0 // force RGB at night
 	rgb := buildPlatform(t, cfgRGB, 16, 10)
-	if err := rgb.StartMission(ClassicArea(350)); err != nil {
+	if err := rgb.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rgb.RunMission(900); err != nil {
@@ -283,7 +283,7 @@ func TestMissionWithExpandingSquarePlanner(t *testing.T) {
 	cfg.CoveragePlanner = sar.ExpandingSquarePath
 	cfg.SweepSpacingM = 45
 	p := buildPlatform(t, cfg, 17, 0)
-	if err := p.StartMission(ClassicArea(350)); err != nil {
+	if err := p.StartMission(classicArea(350)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.RunMission(1800); err != nil {

@@ -2,7 +2,9 @@ package platform
 
 // The fleet scheduler runs every tick through one pipeline over the
 // cell layout (Config.Cells): contiguous shards of the sorted fleet
-// order, each with its own failure counters.
+// order. Failures from every phase count into the platform's atomic
+// drop and retry counters; the adds commute, so the totals never
+// depend on goroutine scheduling.
 //
 //  1. step: the world's serial BeginStep (clock events, due faults, the
 //     gust draw), physics per cell on the worker pool, then the serial
@@ -15,8 +17,7 @@ package platform
 //  3. observe (worker pool): each UAV's monitor chain runs over its
 //     snapshot. Chains only touch their own UAV's state and read-only
 //     shared models (the SINADRA network, the config), so any
-//     interleaving yields the same per-UAV results. The cells' counters
-//     then drain into the platform totals in ascending cell order.
+//     interleaving yields the same per-UAV results.
 //  4. apply (serial, fleet order): emit the collected events, run
 //     mission management (crash redistribution, collaborative-landing
 //     steps, battery swaps) and execute flight actions, then the
@@ -102,10 +103,6 @@ func (p *Platform) Tick() error {
 		p.parallel(len(p.cells), (*Platform).prepareObserveCell)
 	} else {
 		p.parallel(len(p.order), (*Platform).observeAt)
-	}
-	for i := range p.cells {
-		p.cells[i].drops.drainInto(&p.drops)
-		p.cells[i].retries.drainInto(&p.retries)
 	}
 	if obs != nil {
 		obs.phaseObserve.Observe(time.Since(t).Seconds())
@@ -195,8 +192,8 @@ func (p *Platform) RunMission(horizon float64) error {
 // prepareAt freezes the telemetry snapshot of the UAV at fleet index i
 // and stages its perception frame. Every field read is the vehicle's
 // own state, the capture draws from the vehicle's detector stream
-// (st.detRNG) and failures count into its cell's counters, so cells
-// may prepare concurrently when their streams are split.
+// (st.detRNG) and failures count into the platform's atomic counters,
+// so cells may prepare concurrently when their streams are split.
 func (p *Platform) prepareAt(i int) {
 	st := p.states[p.order[i]]
 	u := st.uav
@@ -223,7 +220,7 @@ func (p *Platform) prepareAt(i int) {
 			Thermal:    p.thermal,
 		}
 		frame, err := p.detector.CaptureWith(st.detRNG, u.ID(), now, u.TruePosition(), cond, p.scene)
-		if countIn(&st.drops.perception, err) {
+		if countIn(&p.drops.perception, err) {
 			st.perceptionMon.stage(frame)
 		}
 	}
@@ -243,7 +240,7 @@ func (p *Platform) observeUAV(s eddi.Snapshot) (ob observation) {
 		// Backstop for panics outside the chain itself (the chain's own
 		// panics are converted to *eddi.MonitorPanicError upstream).
 		if r := recover(); r != nil {
-			st.drops.monitors.Add(1)
+			p.drops.monitors.Add(1)
 			if st.recorder != nil {
 				st.recorder.recordPanic()
 			}
@@ -264,7 +261,7 @@ func (p *Platform) observeUAV(s eddi.Snapshot) (ob observation) {
 		result, err = eddi.RunChain(st.chain, s)
 	}
 	if err != nil {
-		st.drops.monitors.Add(1)
+		p.drops.monitors.Add(1)
 		ob = observation{failed: true, failMsg: err.Error()}
 		var pe *eddi.MonitorPanicError
 		if errors.As(err, &pe) {
@@ -312,10 +309,10 @@ func (p *Platform) deferOrDrop(st *uavState, now float64, err error, r dbRetry) 
 		r.Attempts = 1
 		r.NextAt = now + p.cfg.DBRetryBackoffS
 		st.dbRetries = append(st.dbRetries, r)
-		st.retries.scheduled.Add(1)
+		p.retries.scheduled.Add(1)
 		return
 	}
-	st.drops.database.Add(1)
+	p.drops.database.Add(1)
 }
 
 // drainDBRetries re-offers due queued writes. Each failure doubles the
@@ -335,13 +332,13 @@ func (p *Platform) drainDBRetries(st *uavState, now float64) {
 		}
 		err := p.execRetry(st, r)
 		if err == nil {
-			st.retries.succeeded.Add(1)
+			p.retries.succeeded.Add(1)
 			continue
 		}
 		r.Attempts++
 		if !errors.Is(err, ErrUnavailable) || r.Attempts >= p.cfg.DBRetryAttempts {
-			st.retries.abandoned.Add(1)
-			st.drops.database.Add(1)
+			p.retries.abandoned.Add(1)
+			p.drops.database.Add(1)
 			continue
 		}
 		r.NextAt = now + p.cfg.DBRetryBackoffS*float64(uint64(1)<<uint(r.Attempts-1))

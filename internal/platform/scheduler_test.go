@@ -101,7 +101,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 				cfg := sc.cfg()
 				cfg.Workers = workers
 				p := buildPlatform(t, cfg, sc.seed, sc.persons)
-				if err := p.StartMission(ClassicArea(350)); err != nil {
+				if err := p.StartMission(classicArea(350)); err != nil {
 					t.Fatal(err)
 				}
 				if sc.faults != nil {
@@ -163,7 +163,7 @@ func TestExtraMonitors(t *testing.T) {
 	if len(chain) == 0 || chain[len(chain)-1] != "note" {
 		t.Fatalf("custom monitor not appended: %v", chain)
 	}
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -203,7 +203,7 @@ func TestDropCountersSurfaced(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Origin = "203.0.113.5" // public address: Database rejects it
 	p := buildPlatform(t, cfg, 6, 0)
-	if err := p.StartMission(ClassicArea(300)); err != nil {
+	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -225,7 +225,7 @@ func TestDropCountersSurfaced(t *testing.T) {
 
 	// A loopback origin keeps the path clean.
 	clean := buildPlatform(t, DefaultConfig(), 6, 0)
-	if err := clean.StartMission(ClassicArea(300)); err != nil {
+	if err := clean.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -252,7 +252,7 @@ func TestLastUAVCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if err := p.StartMission(ClassicArea(200)); err != nil {
+	if err := p.StartMission(classicArea(200)); err != nil {
 		t.Fatal(err)
 	}
 	// Fail three rotors: a quad cannot reconfigure, it crashes.
@@ -305,7 +305,7 @@ func TestMissionCompleteDuringSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if err := p.StartMission(ClassicArea(200)); err != nil {
+	if err := p.StartMission(classicArea(200)); err != nil {
 		t.Fatal(err)
 	}
 	at := p.World.Clock.Now() + 30

@@ -38,10 +38,6 @@ func KnownArchetype(name string) bool {
 	return false
 }
 
-// baseOrigin is the Cyprus coastal anchor the rest of the repo uses;
-// generated scenarios jitter around it.
-var baseOrigin = Point{Lat: 35.1856, Lng: 33.3823}
-
 // Generate composes a complete scenario from (seed, archetype). The
 // result is a pure function of its arguments, passes Validate, and —
 // like everything else in the repo — is gated on the determinism
@@ -57,8 +53,8 @@ func GenerateN(seed int64, archetype string, fleetN int) (*Scenario, error) {
 	if !KnownArchetype(archetype) {
 		return nil, fmt.Errorf("scenario: unknown archetype %q (have %v)", archetype, Archetypes())
 	}
-	if fleetN < 0 || fleetN > maxFleet {
-		return nil, fmt.Errorf("scenario: fleet size %d outside [0,%d]", fleetN, maxFleet)
+	if fleetN < 0 || fleetN > MaxFleet {
+		return nil, fmt.Errorf("scenario: fleet size %d outside [0,%d]", fleetN, MaxFleet)
 	}
 	// Mix the archetype into the stream so the same seed yields
 	// unrelated worlds per family.
@@ -70,8 +66,8 @@ func GenerateN(seed int64, archetype string, fleetN int) (*Scenario, error) {
 		Name: fmt.Sprintf("%s-%d", archetype, seed),
 		Seed: seed,
 		Origin: Point{
-			Lat: baseOrigin.Lat + (rng.Float64()-0.5)*0.04,
-			Lng: baseOrigin.Lng + (rng.Float64()-0.5)*0.04,
+			Lat: Home.Lat + (rng.Float64()-0.5)*0.04,
+			Lng: Home.Lng + (rng.Float64()-0.5)*0.04,
 		},
 		HorizonS: 60 + math.Floor(rng.Float64()*120),
 	}}

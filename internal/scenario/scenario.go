@@ -214,7 +214,9 @@ func Load(data []byte) (*Scenario, error) {
 // their job is to make every loadable scenario buildable and every
 // generated world finite.
 const (
-	maxFleet        = 1024
+	// MaxFleet bounds the fleet of every scenario, and so of every
+	// mission a front end builds.
+	MaxFleet        = 1024
 	maxSites        = 16
 	maxSiteVertices = 64
 	maxPersons      = 10000
@@ -367,8 +369,8 @@ func (s *Scenario) validateSites() error {
 
 // validateFleet returns the id -> vehicle index for timeline checks.
 func (s *Scenario) validateFleet() (map[string]int, error) {
-	if len(s.Fleet) == 0 || len(s.Fleet) > maxFleet {
-		return nil, fmt.Errorf("scenario: fleet size %d outside [1,%d]", len(s.Fleet), maxFleet)
+	if len(s.Fleet) == 0 || len(s.Fleet) > MaxFleet {
+		return nil, fmt.Errorf("scenario: fleet size %d outside [1,%d]", len(s.Fleet), MaxFleet)
 	}
 	fleet := make(map[string]int, len(s.Fleet))
 	for i, v := range s.Fleet {

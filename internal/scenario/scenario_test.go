@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sesame/internal/chaos"
+	"sesame/internal/geo"
 	"sesame/internal/linksim"
 )
 
@@ -495,4 +496,33 @@ func ExampleLoad() {
 	}
 	fmt.Println(sc.Name, len(sc.Fleet))
 	// Output: demo 1
+}
+
+// TestClassicDocument pins the §V mission document: fleet, square,
+// survivors, and the paper's fault and attack as valid timeline events.
+func TestClassicDocument(t *testing.T) {
+	sc := Classic(7, 3, 10, 350)
+	sc.HorizonS = 900
+	sc.Timeline = []Event{BatteryCollapse(60, "u1"), GPSSpoof(30, "u2")}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ids := sc.FleetIDs(); strings.Join(ids, ",") != "u1,u2,u3" || sc.Fleet[0].CruiseSpeedMS != 12 {
+		t.Fatalf("fleet %+v", sc.Fleet)
+	}
+	if sc.Seed != 7 || sc.Origin != Home || sc.Persons != 10 || sc.CriticalProb != 0.2 {
+		t.Fatalf("classic document %+v", sc)
+	}
+	area, want := sc.Areas()[0], ClassicSquare(350)
+	for i := range want {
+		if area[i] != want[i] {
+			t.Fatalf("site vertex %d = %v, want %v", i, area[i], want[i])
+		}
+	}
+	if d := geo.Haversine(Home.LatLng(), area[0]); d < 79.9 || d > 80.1 {
+		t.Fatalf("square corner %.1f m from home, want 80", d)
+	}
+	if empty := Classic(1, 1, -1, 400); empty.Persons != 0 || empty.CriticalProb != 0 {
+		t.Fatalf("persons <= 0 must scatter nobody: %+v", empty)
+	}
 }

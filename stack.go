@@ -320,12 +320,6 @@ func NewPlatform(w *World, scene *Scene, cfg PlatformConfig) (*Platform, error) 
 	return platform.New(w, scene, cfg)
 }
 
-// ClassicMission declares the paper's §V demo mission (u1..uN over
-// the survey square north-east of ClassicHome). Build returns the
-// world, scene and area; build the platform with NewPlatform and call
-// StartMission yourself.
-type ClassicMission = platform.ClassicMission
-
 // PlatformHandler serves the platform status over HTTP (the web GUI
 // data feed).
 func PlatformHandler(p *Platform) http.Handler { return p.Handler() }
@@ -502,6 +496,25 @@ func GenerateScenario(seed int64, archetype string) (*Scenario, error) {
 
 // ScenarioArchetypes lists the generator's archetype names.
 func ScenarioArchetypes() []string { return scenario.Archetypes() }
+
+// ClassicScenario describes the paper's §V mission: u1..uN at 12 m/s
+// sweeping a sideM square north-east of the Nicosia home point over
+// persons survivors. Set HorizonS, add a timeline, links or chaos,
+// and fly it with LaunchScenario.
+func ClassicScenario(seed int64, uavs, persons int, sideM float64) *Scenario {
+	return scenario.Classic(seed, uavs, persons, sideM)
+}
+
+// ScenarioEvent is one fault/attack timeline entry, timed from launch.
+type ScenarioEvent = scenario.Event
+
+// BatteryCollapseEvent is the §V-A battery collapse (70 °C, 40 %).
+func BatteryCollapseEvent(atS float64, uav string) ScenarioEvent {
+	return scenario.BatteryCollapse(atS, uav)
+}
+
+// GPSSpoofEvent is the §V-C spoofing attack (135°, 3 m/s drift).
+func GPSSpoofEvent(atS float64, uav string) ScenarioEvent { return scenario.GPSSpoof(atS, uav) }
 
 // LaunchScenario builds a scenario into a running mission: world,
 // scene, platform, link layer, chaos layer and fault timeline, with
