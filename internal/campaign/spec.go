@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
-	"strconv"
 	"strings"
 
 	"sesame/internal/linksim"
@@ -167,31 +166,17 @@ func (s *Spec) Normalize() {
 	}
 }
 
-// fleetHasUAV reports whether a fleet of n vehicles (u1..uN) contains
-// the named UAV.
-func fleetHasUAV(n int, uav string) bool {
-	idx, ok := strings.CutPrefix(uav, "u")
-	if !ok {
-		return false
-	}
-	k, err := strconv.Atoi(idx)
-	return err == nil && k >= 1 && k <= n
-}
-
 // Validate checks a normalized spec. Fault and outage targets must
-// exist in every swept fleet size, so a run's behaviour never silently
-// depends on a target being absent.
+// exist in every swept fleet size (the documents of every grid point
+// are validated), so a run's behaviour never silently depends on a
+// target being absent.
 func (s *Spec) Validate() error {
 	if !variantName.MatchString(s.Name) {
 		return fmt.Errorf("campaign: name %q must match %s", s.Name, variantName)
 	}
-	minFleet := s.Fleets[0]
 	for _, f := range s.Fleets {
 		if f < 1 {
 			return fmt.Errorf("campaign: fleet size %d: need at least one UAV", f)
-		}
-		if f < minFleet {
-			minFleet = f
 		}
 	}
 	for _, c := range s.Cells {
@@ -208,9 +193,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: duplicate link variant %q", l.Name)
 		}
 		seen["l:"+l.Name] = true
-		if l.OutageDurS > 0 && !fleetHasUAV(minFleet, l.OutageUAV) {
-			return fmt.Errorf("campaign: link %q outage targets %q, absent from fleet size %d", l.Name, l.OutageUAV, minFleet)
-		}
 		if l.OutageDurS < 0 || l.OutageStartS < 0 {
 			return fmt.Errorf("campaign: link %q: negative outage window", l.Name)
 		}
@@ -223,12 +205,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: duplicate fault variant %q", f.Name)
 		}
 		seen["f:"+f.Name] = true
-		if f.BatteryAtS > 0 && !fleetHasUAV(minFleet, f.BatteryUAV) {
-			return fmt.Errorf("campaign: fault %q battery collapse targets %q, absent from fleet size %d", f.Name, f.BatteryUAV, minFleet)
-		}
-		if f.SpoofAtS > 0 && !fleetHasUAV(minFleet, f.SpoofUAV) {
-			return fmt.Errorf("campaign: fault %q spoofing targets %q, absent from fleet size %d", f.Name, f.SpoofUAV, minFleet)
-		}
 		if f.BatteryAtS < 0 || f.SpoofAtS < 0 {
 			return fmt.Errorf("campaign: fault %q: negative injection time", f.Name)
 		}

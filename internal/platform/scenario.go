@@ -74,7 +74,7 @@ func LaunchScenario(sc *scenario.Scenario, cfg Config) (*ScenarioRun, error) {
 		return nil, err
 	}
 	// The link layer attaches before chaos so chaos publish failures
-	// are decided first (the ArmChaos ordering contract). A vehicle's
+	// are decided first (chaos wraps the link filter). A vehicle's
 	// IDS alerts (alerts/ids/<uav>) cross its link too, so a lossy link
 	// can delay or lose the alert that flags it.
 	var links *linksim.Layer

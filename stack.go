@@ -443,26 +443,9 @@ type ChaosLayer = chaos.Layer
 type ChaosStats = chaos.Stats
 
 // LoadChaosPlan parses and validates a JSON chaos plan; unknown fields
-// and trailing data are rejected.
+// and trailing data are rejected. Arm one by putting it in a
+// Scenario's Chaos field before LaunchScenario.
 func LoadChaosPlan(data []byte) (ChaosPlan, error) { return chaos.LoadPlan(data) }
-
-// NewChaosLayer arms plan against the world's simulation clock. Append
-// the layer's MonitorBuilder() (when non-nil) to
-// PlatformConfig.ExtraMonitors before building the platform, then call
-// ArmChaos after.
-func NewChaosLayer(w *World, plan ChaosPlan) (*ChaosLayer, error) { return chaos.New(w.Clock, plan) }
-
-// ArmChaos attaches a chaos layer's bus, broker and mission-database
-// injectors to a built platform. Call it after any link-quality layer
-// so chaos drops are decided first, and before the mission starts so
-// injection windows cover the whole flight.
-func ArmChaos(l *ChaosLayer, w *World, p *Platform) {
-	l.AttachBus(w.Bus)
-	l.AttachBroker(p.Broker)
-	if hook := l.DBHook(ErrDatabaseUnavailable); hook != nil {
-		p.DB.SetFaultHook(hook)
-	}
-}
 
 // ---- Declarative scenarios (internal/scenario) ----
 
