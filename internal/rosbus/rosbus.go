@@ -13,6 +13,7 @@ package rosbus
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,7 +72,8 @@ type Stats struct {
 type Bus struct {
 	mu     sync.Mutex
 	topics map[string]*topicState
-	taps   map[int]Handler
+	// taps are the bus-wide handlers, by id.
+	taps   []entry
 	nextID int
 	filter Filter
 	// depth guards against unbounded publish-from-handler recursion.
@@ -87,9 +89,23 @@ type Bus struct {
 	mDepthExceeded *obsv.Counter
 }
 
+// entry is one registered handler. Subscriptions and taps draw their
+// ids from one counter, so a slice appended in registration order
+// stays sorted by id.
+type entry struct {
+	id int
+	h  Handler
+}
+
 type topicState struct {
-	seq  uint64
-	subs map[int]Handler
+	seq uint64
+	// subs are the topic's subscriptions, by id.
+	subs []entry
+	// handlers is the delivery snapshot: subscribers by id, then taps
+	// by id. Every change builds a fresh slice and none is written in
+	// place, so a dispatch that read the old slice under the lock keeps
+	// calling exactly the handlers registered when it started.
+	handlers []Handler
 	// stats
 	published uint64
 	// mPublished caches this topic's labeled counter so the publish
@@ -99,10 +115,7 @@ type topicState struct {
 
 // NewBus returns an empty bus.
 func NewBus() *Bus {
-	return &Bus{
-		topics: make(map[string]*topicState),
-		taps:   make(map[int]Handler),
-	}
+	return &Bus{topics: make(map[string]*topicState)}
 }
 
 // Instrument mirrors the bus counters into reg. A nil registry leaves
@@ -149,13 +162,39 @@ func (b *Bus) Advertise(topic, node string) (*Publisher, error) {
 func (b *Bus) ensureTopic(topic string) *topicState {
 	ts, ok := b.topics[topic]
 	if !ok {
-		ts = &topicState{subs: make(map[int]Handler)}
+		ts = &topicState{}
 		if b.mPublished != nil {
 			ts.mPublished = b.mPublished.With(topic)
 		}
+		ts.rebuild(b.taps)
 		b.topics[topic] = ts
 	}
 	return ts
+}
+
+// rebuild replaces the topic's delivery snapshot; callers hold b.mu.
+func (ts *topicState) rebuild(taps []entry) {
+	hs := make([]Handler, 0, len(ts.subs)+len(taps))
+	for _, e := range ts.subs {
+		hs = append(hs, e.h)
+	}
+	for _, e := range taps {
+		hs = append(hs, e.h)
+	}
+	ts.handlers = hs
+}
+
+// rebuildAll refreshes every topic's snapshot after a tap change;
+// callers hold b.mu.
+func (b *Bus) rebuildAll() {
+	for _, ts := range b.topics {
+		ts.rebuild(b.taps)
+	}
+}
+
+// without removes the entry with the given id from es.
+func without(es []entry, id int) []entry {
+	return slices.DeleteFunc(es, func(e entry) bool { return e.id == id })
 }
 
 // Publish sends payload on the publisher's topic at simulation time
@@ -264,28 +303,11 @@ func (b *Bus) Deliver(msg Message) error {
 	return nil
 }
 
-// dispatch snapshots the handler set under the lock and runs the
-// handlers unlocked, in deterministic id order.
+// dispatch reads the topic's handler snapshot under the lock and runs
+// the handlers unlocked, in deterministic id order.
 func (b *Bus) dispatch(msg Message) {
 	b.mu.Lock()
-	ts := b.ensureTopic(msg.Topic)
-	subIDs := make([]int, 0, len(ts.subs))
-	for id := range ts.subs {
-		subIDs = append(subIDs, id)
-	}
-	sort.Ints(subIDs)
-	handlers := make([]Handler, 0, len(subIDs)+len(b.taps))
-	for _, id := range subIDs {
-		handlers = append(handlers, ts.subs[id])
-	}
-	tapIDs := make([]int, 0, len(b.taps))
-	for id := range b.taps {
-		tapIDs = append(tapIDs, id)
-	}
-	sort.Ints(tapIDs)
-	for _, id := range tapIDs {
-		handlers = append(handlers, b.taps[id])
-	}
+	handlers := b.ensureTopic(msg.Topic).handlers
 	b.delivered++
 	b.mDelivered.Inc()
 	b.mu.Unlock()
@@ -323,7 +345,8 @@ func (b *Bus) Subscribe(topic string, handler Handler) (Subscription, error) {
 	defer b.mu.Unlock()
 	ts := b.ensureTopic(topic)
 	b.nextID++
-	ts.subs[b.nextID] = handler
+	ts.subs = append(ts.subs, entry{b.nextID, handler})
+	ts.rebuild(b.taps)
 	return Subscription{topic: topic, id: b.nextID}, nil
 }
 
@@ -332,7 +355,8 @@ func (b *Bus) Unsubscribe(s Subscription) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ts, ok := b.topics[s.topic]; ok {
-		delete(ts.subs, s.id)
+		ts.subs = without(ts.subs, s.id)
+		ts.rebuild(b.taps)
 	}
 }
 
@@ -346,11 +370,13 @@ func (b *Bus) Tap(handler Handler) (cancel func(), err error) {
 	defer b.mu.Unlock()
 	b.nextID++
 	id := b.nextID
-	b.taps[id] = handler
+	b.taps = append(b.taps, entry{id, handler})
+	b.rebuildAll()
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		delete(b.taps, id)
+		b.taps = without(b.taps, id)
+		b.rebuildAll()
 	}, nil
 }
 

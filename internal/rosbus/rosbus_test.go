@@ -2,6 +2,7 @@ package rosbus
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -117,6 +118,39 @@ func TestTapRunsAfterSubscribers(t *testing.T) {
 	_ = p.Publish(0, nil)
 	if len(order) != 2 || order[0] != "sub" || order[1] != "tap" {
 		t.Fatalf("order = %v, want [sub tap]", order)
+	}
+}
+
+// TestHandlerChangesDuringDispatch: a dispatch calls exactly the
+// handlers registered when it started. A handler added meanwhile waits
+// for the next message, and one removed meanwhile is still called.
+func TestHandlerChangesDuringDispatch(t *testing.T) {
+	b := NewBus()
+	var order []string
+	var subB Subscription
+	var cancelTap func()
+	first := true
+	_, _ = b.Subscribe("/t", func(Message) {
+		order = append(order, "a")
+		if first {
+			first = false
+			_, _ = b.Subscribe("/t", func(Message) { order = append(order, "c") })
+			b.Unsubscribe(subB)
+			cancelTap()
+		}
+	})
+	subB, _ = b.Subscribe("/t", func(Message) { order = append(order, "b") })
+	cancelTap, _ = b.Tap(func(Message) { order = append(order, "tap") })
+	_, _ = b.Tap(func(Message) { order = append(order, "tap2") })
+	p, _ := b.Advertise("/t", "n")
+	_ = p.Publish(0, nil)
+	_ = p.Publish(0, nil)
+	want := "a b tap tap2 a c tap2"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+	if n := b.SubscriberCount("/t"); n != 2 {
+		t.Fatalf("SubscriberCount = %d, want 2", n)
 	}
 }
 
