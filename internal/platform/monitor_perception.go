@@ -14,18 +14,20 @@ import (
 // distribution monitor and, once the window fills, publishes the fused
 // perception uncertainty on the chain blackboard for the risk monitor.
 //
-// Frames are staged by the scheduler's serial pre-pass (the detector
-// draws from one shared RNG, so captures must happen in fleet order to
-// keep runs bit-identical); the monitor itself only consumes its own
-// staged frame and is therefore safe to run concurrently with other
-// UAVs' chains.
+// The scheduler's prepare stages each frame: prepareObserveCell stages
+// it just before the same cell runs this monitor, and a one-cell fleet
+// that fans observe out stages every frame in a serial pass first.
+// Either way one-cell captures draw from the shared detector stream in
+// fleet order, which keeps runs bit-identical. The monitor itself only
+// consumes its own staged frame and is therefore safe to run
+// concurrently with other UAVs' chains.
 type perceptionMonitor struct {
 	p  *Platform
 	st *uavState
 	// pending is the frame captured for this tick, nil when the UAV is
-	// not flying a perception workload. Written by the serial pre-pass,
-	// consumed by the (possibly concurrent) observe phase; the worker
-	// handoff orders the accesses.
+	// not flying a perception workload. Written by prepare and consumed
+	// by observe, on the same goroutine within a cell; in the one-cell
+	// fan-out the worker handoff orders the accesses.
 	pending *detection.Frame
 }
 
