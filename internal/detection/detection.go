@@ -209,7 +209,8 @@ func (d *Detector) CaptureWith(rng *rand.Rand, uav string, stamp float64, pos ge
 	}
 	radius := d.FootprintRadiusM(cond.AltitudeM)
 	recall := d.Recall(cond)
-	f := &Frame{UAV: uav, Stamp: stamp, Conditions: cond}
+	c := &capture{Frame: Frame{UAV: uav, Stamp: stamp, Conditions: cond}}
+	f := &c.Frame
 	for _, p := range scene.Persons {
 		if geo.Haversine(pos, p.Position) > radius {
 			continue
@@ -246,20 +247,30 @@ func (d *Detector) CaptureWith(rng *rand.Rand, uav string, stamp float64, pos ge
 			Confidence: clamp01(0.3 + 0.2*rng.NormFloat64()),
 		})
 	}
-	f.Features = d.featuresWith(rng, cond)
+	f.Features = c.features[:]
+	d.fillFeatures(rng, cond, f.Features)
 	return f, nil
 }
 
-// features draws the frame's feature vector. Under reference
-// conditions each feature is N(mu_i, 1); altitude and blur shift the
-// means and widen the spread, giving SafeML a real distribution shift
-// to detect.
-func (d *Detector) features(cond Conditions) []float64 {
-	return d.featuresWith(d.rng, cond)
+// capture is a frame allocated together with its feature vector, so a
+// capture costs one allocation for both.
+type capture struct {
+	Frame
+	features [FeatureDim]float64
 }
 
-// featuresWith draws the feature vector from the given stream.
-func (d *Detector) featuresWith(rng *rand.Rand, cond Conditions) []float64 {
+// features draws a feature vector from the detector's own stream.
+func (d *Detector) features(cond Conditions) []float64 {
+	out := make([]float64, FeatureDim)
+	d.fillFeatures(d.rng, cond, out)
+	return out
+}
+
+// fillFeatures draws a frame's feature vector (its FeatureDim entries
+// of out) from the given stream. Under reference conditions each
+// feature is N(mu_i, 1); altitude and blur shift the means and widen
+// the spread, giving SafeML a real distribution shift to detect.
+func (d *Detector) fillFeatures(rng *rand.Rand, cond Conditions, out []float64) {
 	shift := 0.0
 	if dAlt := cond.AltitudeM - d.RefAltitudeM; dAlt > 0 {
 		shift = dAlt / 15
@@ -275,12 +286,10 @@ func (d *Detector) featuresWith(rng *rand.Rand, cond Conditions) []float64 {
 	}
 	shift += cond.CameraBlur
 	spread := 1 + shift/4
-	out := make([]float64, FeatureDim)
 	for i := range out {
 		mu := float64(i) + shift*(1+0.2*float64(i%3))
 		out[i] = mu + spread*rng.NormFloat64()
 	}
-	return out
 }
 
 // ReferenceFeatures samples n frames' worth of feature vectors under

@@ -32,11 +32,11 @@ func TestTickAllocCeilings(t *testing.T) {
 		ceiling              float64
 		inline               bool
 	}{
-		{"3/serial", 3, 1, 1, 350, 56, false},
-		{"3/pooled", 3, 1, 4, 350, 56, true},
-		{"7/pooled", 7, 1, 4, 350, 135, true},
-		{"48/pooled", 48, 1, 4, 3000, 899, false},
-		{"1000/cells16", 1000, 16, 4, 3000, 18702, false},
+		{"3/serial", 3, 1, 1, 350, 50, false},
+		{"3/pooled", 3, 1, 4, 350, 50, true},
+		{"7/pooled", 7, 1, 4, 350, 121, true},
+		{"48/pooled", 48, 1, 4, 3000, 798, false},
+		{"1000/cells16", 1000, 16, 4, 3000, 16601, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.uavs >= 1000 && testing.Short() {

@@ -2,7 +2,7 @@ package platform
 
 import (
 	"encoding/json"
-	"fmt"
+	"strconv"
 
 	"sesame/internal/detection"
 	"sesame/internal/eddi"
@@ -48,7 +48,7 @@ func (m *perceptionMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice,
 				events = append(events, eddi.Event{
 					Kind: eddi.KindPerception, UAV: s.UAV, Time: s.Time,
 					Severity: report.Uncertainty,
-					Summary:  fmt.Sprintf("perception uncertainty %.2f (%s)", report.Uncertainty, report.Action),
+					Summary:  perceptionSummary(report.Uncertainty, report.Action),
 				})
 			}
 		}
@@ -58,6 +58,15 @@ func (m *perceptionMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice,
 	s.Derived.Uncertainty = m.st.uncertainty
 	s.Derived.HasUncertainty = m.st.hasUncert
 	return events, eddi.Advice{}, nil
+}
+
+// perceptionSummary renders the event summary
+// "perception uncertainty %.2f (%s)" byte for byte, in one allocation.
+func perceptionSummary(u float64, a safeml.Action) string {
+	var buf [48]byte
+	b := strconv.AppendFloat(append(buf[:0], "perception uncertainty "...), u, 'f', 2, 64)
+	b = append(append(append(b, " ("...), a.String()...), ')')
+	return string(b)
 }
 
 // perceptionState is the checkpointed SafeML window plus any staged

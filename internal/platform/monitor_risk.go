@@ -1,7 +1,7 @@
 package platform
 
 import (
-	"fmt"
+	"strconv"
 
 	"sesame/internal/eddi"
 	"sesame/internal/sinadra"
@@ -35,7 +35,7 @@ func (m *riskMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice, error
 	events := []eddi.Event{{
 		Kind: eddi.KindRisk, UAV: s.UAV, Time: s.Time,
 		Severity: risk.RiskHigh,
-		Summary:  fmt.Sprintf("risk %.2f advice %s", risk.RiskHigh, risk.Advice),
+		Summary:  riskSummary(risk.RiskHigh, risk.Advice),
 	}}
 	var advice eddi.Advice
 	switch risk.Advice {
@@ -45,4 +45,12 @@ func (m *riskMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice, error
 		advice = eddi.Advice{Kind: eddi.AdviceRescan, Reason: "SINADRA: re-scan the current cell"}
 	}
 	return events, advice, nil
+}
+
+// riskSummary renders the event summary "risk %.2f advice %s" byte for
+// byte, in one allocation.
+func riskSummary(r float64, a sinadra.Advice) string {
+	var buf [48]byte
+	b := strconv.AppendFloat(append(buf[:0], "risk "...), r, 'f', 2, 64)
+	return string(append(append(b, " advice "...), a.String()...))
 }

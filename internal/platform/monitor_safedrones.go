@@ -2,7 +2,7 @@ package platform
 
 import (
 	"encoding/json"
-	"fmt"
+	"strconv"
 
 	"sesame/internal/eddi"
 	"sesame/internal/safedrones"
@@ -56,7 +56,7 @@ func (m *reliabilityMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice
 	events := []eddi.Event{{
 		Kind: eddi.KindSafety, UAV: s.UAV, Time: s.Time,
 		Severity: assessment.PoF,
-		Summary:  fmt.Sprintf("PoF %.3f level %s", assessment.PoF, assessment.Level),
+		Summary:  safetySummary(assessment.PoF, assessment.Level),
 	}}
 	var advice eddi.Advice
 	// The emergency override belongs to the EDDI policy; the reactive
@@ -69,6 +69,14 @@ func (m *reliabilityMonitor) Observe(s eddi.Snapshot) ([]eddi.Event, eddi.Advice
 		}
 	}
 	return events, advice, nil
+}
+
+// safetySummary renders the event summary "PoF %.3f level %s" byte for
+// byte, in one allocation.
+func safetySummary(pof float64, l safedrones.Level) string {
+	var buf [48]byte
+	b := strconv.AppendFloat(append(buf[:0], "PoF "...), pof, 'f', 3, 64)
+	return string(append(append(b, " level "...), l.String()...))
 }
 
 // SnapshotState implements eddi.Snapshotter: the Markov/fault-tree

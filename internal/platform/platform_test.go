@@ -11,7 +11,10 @@ import (
 	"sesame/internal/conserts"
 	"sesame/internal/detection"
 	"sesame/internal/geo"
+	"sesame/internal/safedrones"
+	"sesame/internal/safeml"
 	"sesame/internal/scenario"
+	"sesame/internal/sinadra"
 	"sesame/internal/uavsim"
 )
 
@@ -350,6 +353,33 @@ func TestBatteryValueFormat(t *testing.T) {
 		want := fmt.Sprintf("%.1f", v)
 		if got := strconv.FormatFloat(v, 'f', 1, 64); got != want {
 			t.Errorf("%v: FormatFloat %q, Sprintf %q", v, got, want)
+		}
+	}
+}
+
+// TestEventSummaryFormat: the monitors' event summaries are the fmt
+// renderings they replaced, byte for byte, for every float64 (special
+// values and rounding edges included) and every enum value, named or
+// not.
+func TestEventSummaryFormat(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 0.005, 0.015, 0.125, 0.0005, 0.0015, 0.9995,
+		0.995, 1, -0.004, -0.0004, 2.675, 1e21, -3.25, math.SmallestNonzeroFloat64,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, v := range values {
+		for a := safeml.Action(-1); a <= safeml.ActionReject+1; a++ {
+			if got, want := perceptionSummary(v, a), fmt.Sprintf("perception uncertainty %.2f (%s)", v, a); got != want {
+				t.Errorf("perception %v %v: %q, want %q", v, a, got, want)
+			}
+		}
+		for a := sinadra.Advice(-1); a <= sinadra.AdviceRescan+1; a++ {
+			if got, want := riskSummary(v, a), fmt.Sprintf("risk %.2f advice %s", v, a); got != want {
+				t.Errorf("risk %v %v: %q, want %q", v, a, got, want)
+			}
+		}
+		for l := safedrones.Level(-1); l <= safedrones.LevelHigh+1; l++ {
+			if got, want := safetySummary(v, l), fmt.Sprintf("PoF %.3f level %s", v, l); got != want {
+				t.Errorf("safety %v %v: %q, want %q", v, l, got, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,12 @@
 // confidence in the ML outcome; confidence bands map to responses that
 // ConSerts orchestrates (accept, caution, reject/minimal-risk
 // manoeuvre).
+//
+// The monitor keeps its window sorted per feature and, for the
+// Kolmogorov–Smirnov and Kuiper measures, indexed by rank in the fixed
+// reference: each value's reference rank is found once, when Push
+// admits it, so an evaluation is one pass over the window rather than a
+// merge walk over window and reference.
 package safeml
 
 import (
@@ -97,7 +103,11 @@ type Report struct {
 // the reference is column-sorted once at NewMonitor, the runtime
 // window maintains one sorted column per feature by binary-search
 // insert/remove on Push, and sorted-capable measures (every measure in
-// statdist) compare the two sorted columns directly. The reported
+// statdist) compare the two sorted columns directly. Rank-capable
+// measures (statdist.RankedMeasure: KS and Kuiper) go further: Push
+// also stores each window value's rank in the reference column, kept
+// in step with the sorted window column, and Evaluate computes the
+// distance from those ranks in O(window) per feature. The reported
 // distances are bit-identical to sorting the raw window on every call.
 type Monitor struct {
 	cfg Config
@@ -116,10 +126,18 @@ type Monitor struct {
 	// order) and tracked by nanCount instead.
 	winSorted [][]float64
 	nanCount  int
+	// below[f][k] is the number of refSorted[f] values strictly below
+	// winSorted[f][k]; only its first len(winSorted[f]) entries are
+	// live. Maintained only when ranked is set.
+	below [][]int32
 
 	// sorted is cfg.Measure's allocation-free fast path (nil if the
 	// measure does not implement statdist.SortedMeasure).
 	sorted statdist.SortedMeasure
+	// ranked is cfg.Measure's rank fast path: nil if the measure does
+	// not implement statdist.RankedMeasure or the reference holds a NaN
+	// (which DistanceSorted then reports, as it always did).
+	ranked statdist.RankedMeasure
 	// perFeature is the reusable Report.PerFeature buffer.
 	perFeature []float64
 }
@@ -158,16 +176,26 @@ func NewMonitor(reference [][]float64, cfg Config) (*Monitor, error) {
 	}
 	m.refSorted = make([][]float64, width)
 	m.winSorted = make([][]float64, width)
+	refNaN := false
 	for f := 0; f < width; f++ {
 		col := make([]float64, len(ref))
 		for i, row := range ref {
 			col[i] = row[f]
+			refNaN = refNaN || math.IsNaN(col[i])
 		}
 		sort.Float64s(col)
 		m.refSorted[f] = col
 		m.winSorted[f] = make([]float64, 0, cfg.WindowSize)
 	}
 	m.sorted, _ = cfg.Measure.(statdist.SortedMeasure)
+	if ranked, ok := cfg.Measure.(statdist.RankedMeasure); ok && !refNaN {
+		m.ranked = ranked
+		block := make([]int32, width*cfg.WindowSize)
+		m.below = make([][]int32, width)
+		for f := range m.below {
+			m.below[f] = block[f*cfg.WindowSize : (f+1)*cfg.WindowSize : (f+1)*cfg.WindowSize]
+		}
+	}
 	m.perFeature = make([]float64, width)
 	return m, nil
 }
@@ -207,7 +235,8 @@ func (m *Monitor) Push(features []float64) error {
 	return nil
 }
 
-// insertSorted adds v to feature f's sorted window column.
+// insertSorted adds v to feature f's sorted window column and, on the
+// rank path, its reference rank at the same position.
 func (m *Monitor) insertSorted(f int, v float64) {
 	if math.IsNaN(v) {
 		// NaN has no order; track it separately and keep the column
@@ -217,27 +246,49 @@ func (m *Monitor) insertSorted(f int, v float64) {
 		return
 	}
 	col := m.winSorted[f]
-	i := sort.SearchFloat64s(col, v)
-	col = col[:len(col)+1]
-	copy(col[i+1:], col[i:])
+	n := len(col)
+	i := statdist.RankBelow(col, v)
+	col = col[:n+1]
+	copy(col[i+1:], col[i:n])
 	col[i] = v
 	m.winSorted[f] = col
+	if m.ranked != nil {
+		// v's rank lies between its new neighbours' ranks, so only
+		// that stretch of the reference is searched.
+		below, ref := m.below[f], m.refSorted[f]
+		lo, hi := 0, len(ref)
+		if i > 0 {
+			lo = int(below[i-1])
+		}
+		if i < n {
+			hi = int(below[i])
+		}
+		copy(below[i+1:n+1], below[i:n])
+		below[i] = int32(lo + statdist.RankBelow(ref[lo:hi], v))
+	}
 }
 
-// removeSorted drops one instance of v from feature f's sorted column.
+// removeSorted drops one instance of v from feature f's sorted column
+// and the rank stored beside it.
 func (m *Monitor) removeSorted(f int, v float64) {
 	if math.IsNaN(v) {
 		m.nanCount--
 		return
 	}
 	col := m.winSorted[f]
-	i := sort.SearchFloat64s(col, v)
+	n := len(col)
+	i := statdist.RankBelow(col, v)
 	copy(col[i:], col[i+1:])
-	m.winSorted[f] = col[:len(col)-1]
+	m.winSorted[f] = col[:n-1]
+	if m.ranked != nil {
+		below := m.below[f]
+		copy(below[i:n-1], below[i+1:n])
+	}
 }
 
 // Reset clears the runtime window (e.g. after a commanded altitude
-// change invalidates the old samples).
+// change invalidates the old samples). The rank columns empty with
+// the sorted columns they follow.
 func (m *Monitor) Reset() {
 	m.next = 0
 	m.filled = false
@@ -285,9 +336,10 @@ func (m *Monitor) Evaluate() (Report, error) {
 }
 
 // featureDistances computes the per-feature distances of the full
-// window against the reference. The steady-state path compares the
-// pre-sorted reference columns against the incrementally maintained
-// sorted window columns without sorting or allocating; the result is
+// window against the reference. The steady-state path evaluates the
+// incrementally maintained sorted window columns, from their reference
+// ranks for rank-capable measures and against the pre-sorted reference
+// columns otherwise, without sorting or allocating; the result is
 // bit-identical to statdist.FeatureDistance over the raw rows, which
 // remains the fallback for non-sorted measures and NaN-polluted
 // windows.
@@ -297,9 +349,15 @@ func (m *Monitor) featureDistances() ([]float64, float64, error) {
 	}
 	var mean float64
 	for f := range m.perFeature {
-		d, err := m.sorted.DistanceSorted(m.refSorted[f], m.winSorted[f])
-		if err != nil {
-			return nil, 0, err
+		win := m.winSorted[f]
+		var d float64
+		if m.ranked != nil {
+			d = m.ranked.DistanceRanked(m.refSorted[f], win, m.below[f][:len(win)])
+		} else {
+			var err error
+			if d, err = m.sorted.DistanceSorted(m.refSorted[f], win); err != nil {
+				return nil, 0, err
+			}
 		}
 		m.perFeature[f] = d
 		mean += d

@@ -259,6 +259,29 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkPushEvaluate is the per-frame cost the perception monitor
+// pays once its window is full: one Push (a row leaves and a row
+// enters every sorted column) and one Evaluate.
+func BenchmarkPushEvaluate(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(1))
+	ref := reference(rng, 200, 6)
+	m, _ := NewMonitor(ref, DefaultConfig())
+	rows := shifted(rng, 1024, 6, 0.5)
+	for _, row := range rows[:40] {
+		_ = m.Push(row)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Push(rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Evaluate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestEvaluateWithPValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ref := reference(rng, 150, 3)

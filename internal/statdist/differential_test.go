@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -46,8 +47,18 @@ func sameValue(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
+// ranks returns RankBelow(ref, v) for every v of b.
+func ranks(ref, b []float64) []int32 {
+	lo := make([]int32, len(b))
+	for k, v := range b {
+		lo[k] = int32(RankBelow(ref, v))
+	}
+	return lo
+}
+
 // checkAgainstOracle asserts the optimized Distance and DistanceSorted
-// paths match the naive oracle on one input pair.
+// paths match the naive oracle on one input pair, and that the rank
+// path of the ECDF measures matches DistanceSorted.
 func checkAgainstOracle(t *testing.T, m Measure, a, b []float64) {
 	t.Helper()
 	want, err := NaiveDistance(m, a, b)
@@ -65,6 +76,11 @@ func checkAgainstOracle(t *testing.T, m Measure, a, b []float64) {
 	}
 	if !sameValue(gotSorted, got) {
 		t.Fatalf("%s: DistanceSorted %v != Distance %v (must be bit-identical)", m.Name(), gotSorted, got)
+	}
+	if rm, ok := m.(RankedMeasure); ok {
+		if gotRanked := rm.DistanceRanked(sa, sb, ranks(sa, sb)); math.Float64bits(gotRanked) != math.Float64bits(gotSorted) {
+			t.Fatalf("%s: DistanceRanked %v != DistanceSorted %v (must be bit-identical)\na=%v\nb=%v", m.Name(), gotRanked, gotSorted, a, b)
+		}
 	}
 	if _, isEnergy := m.(Energy); isEnergy {
 		if sameValue(got, want) {
@@ -103,6 +119,8 @@ func TestDifferentialEdgeCases(t *testing.T) {
 		{{1, 2, 2, 3}, {2, 2, 2, 4}},           // heavy cross-sample ties
 		{{-5, -1, 0, 1, 5}, {-5, -1, 0, 1, 5}}, // identical samples
 		{{math.Inf(1), 1}, {1, 2}},             // infinity in a sample
+		{{math.Inf(-1), 0, math.Inf(1)}, {math.Inf(-1), math.Inf(1), math.Inf(1)}},
+		{{-0.0, 1, 1, 2}, {0, 0, 1}}, // -0/+0 ties across samples
 	}
 	for _, c := range cases {
 		for _, m := range All() {
@@ -122,6 +140,27 @@ func TestDifferentialSingleElementWindows(t *testing.T) {
 			checkAgainstOracle(t, m, ref, win)
 			checkAgainstOracle(t, m, win, ref)
 		}
+	}
+}
+
+func TestRankBelow(t *testing.T) {
+	s := []float64{math.Inf(-1), -1, -0.0, 0, 0, 2, 2, 2, math.Inf(1)}
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{
+		{math.Inf(-1), 0}, {-2, 1}, {-1, 1}, {-0.5, 2}, {0, 2},
+		{math.Copysign(0, -1), 2}, {1, 5}, {2, 5}, {3, 8}, {math.Inf(1), 8},
+	} {
+		if got := RankBelow(s, c.v); got != c.want {
+			t.Errorf("RankBelow(%v) = %d, want %d", c.v, got, c.want)
+		}
+		if got, want := RankBelow(s, c.v), sort.SearchFloat64s(s, c.v); got != want {
+			t.Errorf("RankBelow(%v) = %d, SearchFloat64s = %d", c.v, got, want)
+		}
+	}
+	if got := RankBelow(nil, 1); got != 0 {
+		t.Errorf("RankBelow(nil) = %d", got)
 	}
 }
 
@@ -218,6 +257,41 @@ func FuzzMeasuresDifferential(f *testing.F) {
 			if math.Abs(got-want) > tol {
 				t.Fatalf("%s: optimized %v vs naive %v\na=%v\nb=%v", m.Name(), got, want, a, b)
 			}
+		}
+	})
+}
+
+// FuzzRankedECDF compares the rank kernel with the merge walk on
+// fuzzed samples. Each input byte picks a value from a small palette of
+// grid points, signed zeros and infinities, so that ties within and
+// across the two samples are the common case.
+func FuzzRankedECDF(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{2, 2})
+	f.Add([]byte{0, 1, 2, 3, 3}, []byte{1, 0, 3})
+	f.Add([]byte{4, 4, 4, 200}, []byte{4, 9, 17})
+	palette := []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}
+	decode := func(raw []byte) []float64 {
+		out := make([]float64, 0, len(raw))
+		for _, c := range raw {
+			if int(c) < len(palette) {
+				out = append(out, palette[c])
+			} else {
+				out = append(out, float64(int(c)%13-6)/4)
+			}
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, rawRef, rawB []byte) {
+		ref, b := decode(rawRef), decode(rawB)
+		if len(ref) == 0 || len(b) == 0 {
+			return
+		}
+		sort.Float64s(ref)
+		sort.Float64s(b)
+		gotP, gotM := ecdfDevRanked(ref, b, ranks(ref, b))
+		wantP, wantM := ecdfDevSorted(ref, b)
+		if math.Float64bits(gotP) != math.Float64bits(wantP) || math.Float64bits(gotM) != math.Float64bits(wantM) {
+			t.Fatalf("ranked (%v, %v) != merge walk (%v, %v)\nref=%v\nb=%v", gotP, gotM, wantP, wantM, ref, b)
 		}
 	})
 }

@@ -37,6 +37,21 @@ type SortedMeasure interface {
 	DistanceSorted(a, b []float64) (float64, error)
 }
 
+// RankedMeasure is implemented by the ECDF-deviation measures
+// (Kolmogorov–Smirnov and Kuiper). A caller that compares a changing
+// sorted sample against one fixed sorted reference can keep, for each
+// sample value, its rank in the reference (RankBelow) as the value
+// enters the sample, and then evaluate the distance in one pass over
+// the sample instead of a merge walk over both.
+type RankedMeasure interface {
+	SortedMeasure
+	// DistanceRanked returns DistanceSorted(ref, b) bit for bit, given
+	// lo[k] = RankBelow(ref, b[k]) for every k. ref and b must be
+	// sorted ascending, non-empty and NaN-free: the caller checks that
+	// once, so no call scans for NaN. It performs no allocation.
+	DistanceRanked(ref, b []float64, lo []int32) float64
+}
+
 // All returns one instance of every implemented measure, in a stable
 // order.
 func All() []Measure {
@@ -121,6 +136,54 @@ func ecdfDevSorted(sa, sb []float64) (dPlus, dMinus float64) {
 	return dPlus, dMinus
 }
 
+// RankBelow returns the number of values in the ascending sorted s
+// strictly below v, which is also the index at which v is inserted
+// ahead of any equal values. v must not be NaN.
+func RankBelow(s []float64, v float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if s[h] < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// ecdfDevRanked returns ecdfDevSorted(ref, b) from the ranks
+// lo[k] = RankBelow(ref, b[k]), in one pass over b with no merge.
+//
+// Fa - Fb peaks just below a value b[k] that starts a run of equal
+// values (lo[k] reference and k sample values lie below it), and
+// Fb - Fa peaks at a value b[k] that ends one (hi reference and k+1
+// sample values are ≤ it, where hi walks ref's ties from lo[k]). The
+// merge walk evaluates each of these points as a pooled-support value
+// from the same quotients (fb - fa is exactly its -d), and every other
+// candidate here or there is no larger than one of them, so both
+// maxima are bit-identical.
+//
+// Each quotient is computed once: fb carries (k+1)/nb into the next
+// step as k/nb, and i/na is recomputed only when ties moved i.
+func ecdfDevRanked(ref, b []float64, lo []int32) (dPlus, dMinus float64) {
+	na, nb := len(ref), len(b)
+	fb := 0.0 // float64(k)/float64(nb)
+	for k, v := range b {
+		i := int(lo[k])
+		fa := float64(i) / float64(na)
+		dPlus = max(dPlus, fa-fb)
+		if i < na && ref[i] == v {
+			for i++; i < na && ref[i] == v; i++ {
+			}
+			fa = float64(i) / float64(na)
+		}
+		fb = float64(k+1) / float64(nb)
+		dMinus = max(dMinus, fb-fa)
+	}
+	return dPlus, dMinus
+}
+
 // KolmogorovSmirnov is the two-sample KS statistic sup|Fa - Fb|.
 type KolmogorovSmirnov struct{}
 
@@ -143,6 +206,12 @@ func (KolmogorovSmirnov) DistanceSorted(a, b []float64) (float64, error) {
 	}
 	dp, dm := ecdfDevSorted(a, b)
 	return math.Max(dp, dm), nil
+}
+
+// DistanceRanked implements RankedMeasure.
+func (KolmogorovSmirnov) DistanceRanked(ref, b []float64, lo []int32) float64 {
+	dp, dm := ecdfDevRanked(ref, b, lo)
+	return math.Max(dp, dm)
 }
 
 // Kuiper is the two-sample Kuiper statistic D+ + D-, which unlike KS is
@@ -169,6 +238,12 @@ func (Kuiper) DistanceSorted(a, b []float64) (float64, error) {
 	}
 	dp, dm := ecdfDevSorted(a, b)
 	return dp + dm, nil
+}
+
+// DistanceRanked implements RankedMeasure.
+func (Kuiper) DistanceRanked(ref, b []float64, lo []int32) float64 {
+	dp, dm := ecdfDevRanked(ref, b, lo)
+	return dp + dm
 }
 
 // AndersonDarling is the two-sample Anderson–Darling statistic
