@@ -131,14 +131,12 @@ func BenchmarkPlatformMissionTick(b *testing.B) {
 }
 
 // BenchmarkPlatformTickFleet measures the fleet scheduler across fleet
-// sizes: serial (Workers=1), pooled (Workers=0, machine-sized, auto
-// layout) and sharded (Workers=0 with at least two cells, so per-cell
-// physics, prepare and observe run on the pool). Pooled rows exist for
-// the one-cell fleets only, where they straddle the one-cell fan-out
-// cutoff: at 3 UAVs a one-cell tick runs inline, from 8 it fans observe
-// out per UAV. At 1k and 10k UAVs the auto layout is already sharded,
-// with one cell per 64 vehicles. Outputs are bit-identical across
-// workers and cell counts >= 2.
+// sizes: serial (Workers=1, auto layout) and sharded (Workers=0,
+// machine-sized, with at least two cells, so per-cell physics, prepare
+// and observe run on the pool). Up to 64 UAVs the auto layout is one
+// cell, which runs inline whatever the pool size; at 1k and 10k UAVs
+// it is one cell per 64 vehicles. Outputs are bit-identical across
+// workers and cell counts.
 func BenchmarkPlatformTickFleet(b *testing.B) {
 	b.ReportAllocs()
 	home := sesame.LatLng{Lat: 35.1856, Lng: 33.3823}
@@ -148,11 +146,7 @@ func BenchmarkPlatformTickFleet(b *testing.B) {
 	d := sesame.Destination(a, 0, 3000)
 	area := sesame.Polygon{a, bb, c, d}
 	for _, fleet := range []int{3, 12, 48, 1000, 10000} {
-		modes := []string{"serial", "pooled", "sharded"}
-		if sesame.AutoCells(fleet) > 1 {
-			modes = []string{"serial", "sharded"}
-		}
-		for _, mode := range modes {
+		for _, mode := range []string{"serial", "sharded"} {
 			b.Run(fmt.Sprintf("%d/%s", fleet, mode), func(b *testing.B) {
 				b.ReportAllocs()
 				world := sesame.NewWorld(home, 1)

@@ -94,7 +94,7 @@ func parseArgs(args []string) (gcsOptions, error) {
 	fs.StringVar(&o.addr, "addr", ":8080", "HTTP listen address")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
-	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
+	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the fleet pipeline, a speed setting that never changes results (0 = auto: one cell per 64 UAVs, 1 = one cell, run inline)")
 	fs.IntVar(&o.tickMS, "tick-ms", 200, "wall-clock milliseconds per simulated second")
 	fs.Float64Var(&o.spoofAt, "spoof", 0, "inject a spoofing attack on u2 this many seconds after launch (0 = off)")
 	fs.StringVar(&o.blackbox, "blackbox", "", "record the mission into this black-box directory and serve /blackbox")

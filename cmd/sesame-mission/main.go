@@ -64,7 +64,7 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.sesameOn, "sesame", true, "enable the SESAME EDDI stack")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&o.uavs, "uavs", 3, "fleet size (UAVs u1..uN)")
-	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the sharded fleet pipeline (0 = auto: one cell per 64 UAVs, 1 = one cell, shared capture stream)")
+	fs.IntVar(&o.cells, "cells", 0, "scheduler cells for the fleet pipeline, a speed setting that never changes results (0 = auto: one cell per 64 UAVs, 1 = one cell, run inline)")
 	fs.Float64Var(&o.batteryFault, "battery-fault", 0, "inject a battery collapse on u1 this many seconds after launch (0 = off)")
 	fs.Float64Var(&o.spoofAt, "spoof", 0, "start a GPS spoofing attack this many seconds after launch (0 = off)")
 	fs.StringVar(&o.spoofUAV, "spoof-uav", "u2", "victim of the spoofing attack")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 	"math/rand"
-	"time"
 
 	"sesame/internal/campaign"
 	"sesame/internal/colloc"
@@ -22,8 +21,6 @@ type MeasurePower struct {
 	DetectionRate float64
 	// FalseAlarmRate on in-distribution windows.
 	FalseAlarmRate float64
-	// NsPerEval is the measured cost of one evaluation.
-	NsPerEval int64
 }
 
 // ObserverPoint is one observer-count operating point (ABL-b).
@@ -91,14 +88,11 @@ func RunAblations(seed int64) (*AblationResult, error) {
 		// 95th percentile threshold.
 		thr := campaign.Percentile(null, 0.95)
 		var hits, falses int
-		start := time.Now()
-		evals := 0
 		for i := 0; i < trials; i++ {
 			d, err := m.Distance(ref, window(1.2))
 			if err != nil {
 				return nil, err
 			}
-			evals++
 			if d > thr {
 				hits++
 			}
@@ -106,17 +100,14 @@ func RunAblations(seed int64) (*AblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			evals++
 			if d0 > thr {
 				falses++
 			}
 		}
-		elapsed := time.Since(start).Nanoseconds()
 		res.Measures = append(res.Measures, MeasurePower{
 			Measure:        m.Name(),
 			DetectionRate:  float64(hits) / trials,
 			FalseAlarmRate: float64(falses) / trials,
-			NsPerEval:      elapsed / int64(evals),
 		})
 	}
 
@@ -235,9 +226,9 @@ func RunAblations(seed int64) (*AblationResult, error) {
 // Print writes all four ablation tables.
 func (r *AblationResult) Print(w io.Writer) {
 	printf(w, "== ABL-a: statistical distance measure choice (SafeML) ==\n")
-	printf(w, "%-20s %12s %12s %12s\n", "measure", "detect-rate", "false-alarm", "ns/eval")
+	printf(w, "%-20s %12s %12s\n", "measure", "detect-rate", "false-alarm")
 	for _, m := range r.Measures {
-		printf(w, "%-20s %11.0f%% %11.0f%% %12d\n", m.Measure, m.DetectionRate*100, m.FalseAlarmRate*100, m.NsPerEval)
+		printf(w, "%-20s %11.0f%% %11.0f%%\n", m.Measure, m.DetectionRate*100, m.FalseAlarmRate*100)
 	}
 	printf(w, "\n== ABL-b: collaborating observer count (CL) ==\n")
 	printf(w, "%10s %14s %14s\n", "observers", "mean est err", "worst est err")

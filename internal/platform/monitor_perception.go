@@ -15,19 +15,16 @@ import (
 // perception uncertainty on the chain blackboard for the risk monitor.
 //
 // The scheduler's prepare stages each frame: prepareObserveCell stages
-// it just before the same cell runs this monitor, and a one-cell fleet
-// that fans observe out stages every frame in a serial pass first.
-// Either way one-cell captures draw from the shared detector stream in
-// fleet order, which keeps runs bit-identical. The monitor itself only
-// consumes its own staged frame and is therefore safe to run
-// concurrently with other UAVs' chains.
+// it, from the vehicle's own detector stream, just before the same
+// cell runs this monitor. The monitor itself only consumes its own
+// staged frame and is therefore safe to run concurrently with other
+// UAVs' chains.
 type perceptionMonitor struct {
 	p  *Platform
 	st *uavState
 	// pending is the frame captured for this tick, nil when the UAV is
 	// not flying a perception workload. Written by prepare and consumed
-	// by observe, on the same goroutine within a cell; in the one-cell
-	// fan-out the worker handoff orders the accesses.
+	// by observe, on the same goroutine within a cell.
 	pending *detection.Frame
 }
 

@@ -22,10 +22,10 @@ type platformMetrics struct {
 
 	ticks *obsv.Counter
 	// phase latency histograms, resolved from one labeled family.
-	// "prepare" times the serial lost-link watchdog, plus the serial
-	// snapshot pass of a one-cell fleet that fans observe out. Otherwise
-	// snapshots and captures are timed under "observe", where each cell
-	// prepares its vehicles.
+	// "prepare" times only the serial lost-link watchdog (the label
+	// stays: the metrics golden and the benchmark's prepare row read
+	// it); snapshots and captures are timed under "observe", where each
+	// cell prepares its vehicles.
 	phaseStep    *obsv.Histogram
 	phasePrepare *obsv.Histogram
 	phaseObserve *obsv.Histogram

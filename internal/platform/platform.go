@@ -73,9 +73,9 @@ type Config struct {
 	Origin string
 	// Workers bounds the fleet scheduler's worker pool (per-cell
 	// physics, prepare and observe): 0 sizes it to the machine
-	// (GOMAXPROCS), 1 runs every phase inline. A one-cell layout below
-	// 8 UAVs also runs inline for any Workers; from 8 UAVs one cell
-	// spreads observe per UAV over the pool. Results are bit-identical
+	// (GOMAXPROCS), 1 runs every phase inline. The pool never runs more
+	// workers than there are cells, so a one-cell layout runs inline for
+	// any Workers. A pure performance setting: results are bit-identical
 	// regardless of the pool size.
 	Workers int
 	// Cells shards the fleet into contiguous cells of the deterministic
@@ -83,12 +83,10 @@ type Config struct {
 	// per cell, then each cell prepares and observes its vehicles in
 	// fleet order, with the cross-cell work — the lost-link watchdog,
 	// counter merging, the apply phase, the mission decision — at serial
-	// barriers. The layout also picks the detector streams: one cell
-	// captures from one shared stream in fleet order, so from 8 UAVs it
-	// prepares serially and fans observe out per UAV; more cells give
-	// every vehicle a split stream. 0 sizes the layout automatically
-	// (one cell per 64 UAVs, so small fleets get one cell). Runs are
-	// bit-identical across all cell counts >= 2 and any Workers value.
+	// barriers. 0 sizes the layout automatically (one cell per 64 UAVs,
+	// so small fleets get one cell). Like Workers, a pure performance
+	// setting: every vehicle captures from its own detector stream, so
+	// runs are bit-identical for every cell count.
 	Cells int
 	// ExtraMonitors registers additional eddi.Runtime monitors per UAV,
 	// appended after the built-in chain. Their events are emitted in
@@ -161,7 +159,7 @@ func DefaultConfig() Config {
 }
 
 // AutoCells is the Cells=0 sizing policy: one cell per 64 UAVs. Small
-// fleets resolve to a single cell (the shared capture stream); a 10k-vehicle
+// fleets resolve to a single cell, which runs inline; a 10k-vehicle
 // fleet spreads across ~160 cells, enough to keep every worker busy
 // without barrier overhead dominating.
 func AutoCells(n int) int {
@@ -170,15 +168,6 @@ func AutoCells(n int) int {
 	}
 	return (n + 63) / 64
 }
-
-// fanoutUAVs is the one-cell fleet size from which a pooled platform
-// spreads observe per UAV over its workers; smaller one-cell fleets
-// run every phase inline. Below it the pool's goroutine start and
-// barrier cost more than the monitor work they spread: on a 2-vCPU
-// host, 300 steady sweep ticks ran inline 13 % faster at 3 UAVs, level
-// at 4-6, and 10-20 % slower from 8 (EXPERIMENTS.md, "Extension:
-// inline one-cell tick").
-const fanoutUAVs = 8
 
 // cell is one contiguous shard [lo, hi) of the sorted fleet order.
 type cell struct {
@@ -242,9 +231,9 @@ type uavState struct {
 	// dbRetries is this UAV's pending database retry queue. Only the
 	// observe-phase worker that owns the UAV touches it, so no lock.
 	dbRetries []dbRetry
-	// detRNG is the stream this UAV's captures draw from: the shared
-	// "platform/detector" stream in a one-cell layout, the vehicle's own
-	// split stream otherwise. Nil without a detector and scene.
+	// detRNG is the stream this UAV's captures draw from, its own
+	// "platform/detector/shard<i>" stream keyed by fleet index i. Nil
+	// without a detector and scene.
 	detRNG *rand.Rand
 }
 
@@ -313,16 +302,13 @@ type Platform struct {
 	// next and wg are the worker pool's cursor and barrier (parallel).
 	next atomic.Int64
 	wg   sync.WaitGroup
-	// cells is the resolved shard layout over p.order; length 1
-	// captures from the shared detector stream.
+	// cells is the resolved shard layout over p.order.
 	cells []cell
 	// now is the current tick's world time, shared with pool workers.
 	now float64
-	// snapBuf, obsBuf and actionsBuf are per-tick scratch reused across
-	// ticks; snapBuf and obsBuf are indexed by fleet position. The
-	// pipeline fully consumes them before the tick returns. snapBuf is
-	// non-nil exactly when one cell fans observe out per UAV (fanoutUAVs).
-	snapBuf    []eddi.Snapshot
+	// obsBuf and actionsBuf are per-tick scratch reused across ticks;
+	// obsBuf is indexed by fleet position. The pipeline fully consumes
+	// them before the tick returns.
 	obsBuf     []observation
 	actionsBuf map[string]conserts.UAVAction
 	// obs holds the resolved observability handles (nil when disabled).
@@ -498,30 +484,18 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 	}
 	p.cells = make([]cell, nCells)
 	p.obsBuf = make([]observation, len(p.order))
-	if nCells == 1 && workers > 1 && len(p.order) >= fanoutUAVs {
-		p.snapBuf = make([]eddi.Snapshot, len(p.order))
-	}
-	var det []*rand.Rand
-	if p.detector != nil && scene != nil {
-		// One cell keeps the shared stream, drawn in fleet order. More
-		// cells split it into one stream per vehicle, keyed by fleet
-		// index, so the draw sequence — hence every digest — is invariant
-		// to the cell layout and the pool size. Streams are created here,
-		// serially, because the clock registry is not goroutine-safe.
-		split := 1
-		if nCells > 1 {
-			split = len(p.order)
-		}
-		det = world.Clock.ShardStreams("platform/detector", split)
-	}
 	for ci := range p.cells {
 		c := &p.cells[ci]
 		c.lo = ci * len(p.order) / nCells
 		c.hi = (ci + 1) * len(p.order) / nCells
-		for i := c.lo; i < c.hi; i++ {
-			if det != nil {
-				p.states[p.order[i]].detRNG = det[i%len(det)]
-			}
+	}
+	if p.detector != nil && scene != nil {
+		// One capture stream per vehicle, keyed by fleet index, so the
+		// draw sequence — hence every digest — is invariant to the cell
+		// layout and the pool size. Streams are created here, serially,
+		// because the clock registry is not goroutine-safe.
+		for i, rng := range world.Clock.ShardStreams("platform/detector", len(p.order)) {
+			p.states[p.order[i]].detRNG = rng
 		}
 	}
 	if cfg.SESAME {

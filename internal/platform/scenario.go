@@ -97,13 +97,16 @@ func LaunchScenario(sc *scenario.Scenario, cfg Config) (*ScenarioRun, error) {
 	}
 	// Timeline and outage windows are relative to mission start, which
 	// is "now": StartMissionSites runs the climb-out, so capture first.
+	// The link rules hold from launch, so climb-out frames cross the
+	// declared links and an outage that opens during the climb-out is
+	// honoured from its first second.
 	start := w.Clock.Now()
+	if links != nil {
+		sc.ApplyLinks(links, start)
+	}
 	if err := p.StartMissionSites(sc.Areas()); err != nil {
 		p.Close()
 		return nil, err
-	}
-	if links != nil {
-		sc.ApplyLinks(links, start)
 	}
 	if err := sc.ScheduleTimeline(w, start); err != nil {
 		p.Close()

@@ -26,18 +26,11 @@ package platform
 //     (ConSert neighbour evidence) or mutates shared state (mission
 //     assignments, the event log) happens here, in stable p.order.
 //
-// A one-cell layout of fewer than fanoutUAVs vehicles runs every phase
-// inline, without a goroutine: there the pool costs more than the
-// monitor work it spreads. From fanoutUAVs on, a pooled one-cell
-// platform prepares every vehicle serially after the watchdog and fans
-// observe out per UAV instead. The layout also decides where
-// captures draw from. One cell captures from the shared
-// "platform/detector" stream in fleet order; observe never draws from
-// it and writes nothing a later vehicle's prepare reads, so the inline
-// walk draws in the same order as the serial prepare pass. More cells
-// give every vehicle its own split detector stream. Outputs are
-// bit-identical for any pool size, and for any cell count >= 2; with a
-// detection scene the one-cell draw order differs from the split one.
+// The layout only schedules the work: a one-cell fleet runs every phase
+// inline, without a goroutine, and more cells spread over the pool.
+// Every vehicle captures from its own detector stream, so no vehicle's
+// prepare or observe reads what another's wrote, and outputs are
+// bit-identical for any cell count and any pool size.
 
 import (
 	"errors"
@@ -96,21 +89,11 @@ func (p *Platform) Tick() error {
 	for _, id := range p.order {
 		p.tickLinkWatchdog(p.states[id], now)
 	}
-	fanout := p.snapBuf != nil
-	if fanout {
-		for i := range p.order {
-			p.snapBuf[i] = p.prepare(i)
-		}
-	}
 	if obs != nil {
 		obs.phasePrepare.Observe(time.Since(t).Seconds())
 		t = time.Now()
 	}
-	if fanout {
-		p.parallel(len(p.order), (*Platform).observeAt)
-	} else {
-		p.parallel(len(p.cells), (*Platform).prepareObserveCell)
-	}
+	p.parallel(len(p.cells), (*Platform).prepareObserveCell)
 	if obs != nil {
 		obs.phaseObserve.Observe(time.Since(t).Seconds())
 		t = time.Now()
@@ -144,12 +127,6 @@ func (p *Platform) prepareObserveCell(ci int) {
 	for i := c.lo; i < c.hi; i++ {
 		p.obsBuf[i] = p.observeUAV(p.prepare(i))
 	}
-}
-
-// observeAt runs the monitor chain of the UAV at fleet index i over its
-// prepared snapshot (the one-cell fan-out).
-func (p *Platform) observeAt(i int) {
-	p.obsBuf[i] = p.observeUAV(p.snapBuf[i])
 }
 
 // parallel runs fn(p, i) for every i in [0, n) on the worker pool and
@@ -200,7 +177,7 @@ func (p *Platform) RunMission(horizon float64) error {
 // and stages its perception frame. Every field read is the vehicle's
 // own state, the capture draws from the vehicle's detector stream
 // (st.detRNG) and failures count into the platform's atomic counters,
-// so cells may prepare concurrently when their streams are split.
+// so cells may prepare concurrently.
 func (p *Platform) prepare(i int) eddi.Snapshot {
 	st := p.states[p.order[i]]
 	u := st.uav

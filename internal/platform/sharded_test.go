@@ -49,12 +49,11 @@ func TestAutoCells(t *testing.T) {
 }
 
 // TestShardedSchedulerDeterminism extends TestSchedulerDeterminism to
-// the cell-sharded pipeline: across every experiment regime, sharded
-// runs must be bit-identical for any cell count >= 2 and any pool size,
-// and — in scenarios without a detection scene, where no split RNG
-// streams enter the picture — bit-identical to the one-cell layout
-// too. Run with -race this exercises the per-cell physics and
-// fused prepare+observe phases for data races.
+// the cell-sharded pipeline: across every experiment regime, with a
+// detection scene or without, every (cells, workers) layout must be
+// bit-identical to the serial one-cell run. Run with -race this
+// exercises the per-cell physics and fused prepare+observe phases for
+// data races.
 func TestShardedSchedulerDeterminism(t *testing.T) {
 	for _, sc := range schedulerScenarios() {
 		sc := sc
@@ -75,19 +74,14 @@ func TestShardedSchedulerDeterminism(t *testing.T) {
 				}
 				return digestPlatform(t, p)
 			}
-			want := run(2, 1)
+			// 10 cells clamp to one per UAV of the 3-UAV fleet.
+			want := run(1, 1)
 			for _, v := range []struct{ cells, workers int }{
-				{2, 8}, {3, 1}, {3, 8},
+				{1, 8}, {2, 1}, {2, 8}, {3, 1}, {3, 8}, {10, 1}, {10, 8},
 			} {
 				if got := run(v.cells, v.workers); got != want {
-					t.Errorf("sharded run (cells=%d workers=%d) diverges: %s != %s",
+					t.Errorf("sharded run (cells=%d workers=%d) diverges from serial: %s != %s",
 						v.cells, v.workers, got, want)
-				}
-			}
-			if sc.persons == 0 {
-				if oneCell := run(1, 8); oneCell != want {
-					t.Errorf("no-scene sharded run diverges from the one-cell layout: %s != %s",
-						want, oneCell)
 				}
 			}
 		})
@@ -95,9 +89,9 @@ func TestShardedSchedulerDeterminism(t *testing.T) {
 }
 
 // TestShardedDeterminismProperty is the randomized acceptance check:
-// for arbitrary fleet sizes, cell counts and pool sizes, a sharded run
-// must digest identically to the reference sharded run of the same
-// scenario — and, without a scene, to the serial unsharded run.
+// for arbitrary fleet sizes, cell counts and pool sizes, with a scene
+// or without, a sharded run must digest identically to the serial
+// one-cell run of the same scenario.
 func TestShardedDeterminismProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	const ticks = 120
@@ -128,19 +122,17 @@ func TestShardedDeterminismProperty(t *testing.T) {
 			}
 			return digestPlatform(t, p)
 		}
-		want := run(cellA, 1)
+		want := run(1, 1)
+		if got := run(cellA, 1); got != want {
+			t.Errorf("%s: sharded run on one worker diverges from serial: %s != %s", name, got, want)
+		}
 		if got := run(cellB, workers); got != want {
-			t.Errorf("%s: sharded digests diverge across layouts: %s != %s", name, got, want)
+			t.Errorf("%s: pooled sharded run diverges from serial: %s != %s", name, got, want)
 		}
 		// Cell counts beyond the fleet size clamp to one UAV per cell
 		// and must not change the trajectory either.
 		if got := run(n+7, workers); got != want {
 			t.Errorf("%s: over-provisioned cell count diverges: %s != %s", name, got, want)
-		}
-		if persons == 0 {
-			if got := run(1, 1); got != want {
-				t.Errorf("%s: no-scene sharded run diverges from serial: %s != %s", name, got, want)
-			}
 		}
 	}
 }

@@ -36,12 +36,9 @@ import (
 // ConfigDigest fingerprints every Config value that shapes the
 // simulation's trajectory. Recordings embed it so a replay against a
 // differently tuned platform fails fast instead of diverging silently.
-// Workers is excluded on purpose — the scheduler is bit-identical
-// across pool sizes, so serial and pooled runs replay each other's
-// recordings. Cells IS digested (as the raw configured value): with a
-// detection scene, one-cell and multi-cell runs draw detector captures
-// from different stream layouts, so their recordings must not replay
-// each other. Function-typed fields (CoveragePlanner, ExtraMonitors)
+// Workers and Cells are excluded on purpose — the scheduler is
+// bit-identical across pool sizes and cell layouts, so a recording
+// flown under one layout resumes under any other. Function-typed fields (CoveragePlanner, ExtraMonitors)
 // and pure instrumentation (Observability, Recorder) cannot or need
 // not be digested; the caller owns keeping those consistent.
 func (p *Platform) ConfigDigest() string {
@@ -61,7 +58,6 @@ func (p *Platform) ConfigDigest() string {
 		DBRetryBackoffS  float64    `json:"db_retry_backoff_s"`
 		BreakerFailures  int        `json:"breaker_failures"`
 		BreakerCooldownS float64    `json:"breaker_cooldown_s"`
-		Cells            int        `json:"cells"`
 	}{
 		SESAME:           c.SESAME,
 		SurveyAltitudeM:  c.SurveyAltitudeM,
@@ -77,7 +73,6 @@ func (p *Platform) ConfigDigest() string {
 		DBRetryBackoffS:  c.DBRetryBackoffS,
 		BreakerFailures:  c.BreakerFailures,
 		BreakerCooldownS: c.BreakerCooldownS,
-		Cells:            c.Cells,
 	}
 	data, err := json.Marshal(blob)
 	if err != nil {

@@ -160,18 +160,14 @@ func fly(t *testing.T, sc *scenario.Scenario, workers, cells, ticks int, tag str
 // generated scenarios (including in -short), cycling through every
 // archetype, must each pass the full determinism battery.
 //
-//   - serial (Workers=1) == pooled (Workers=8) in the one-cell
-//     layout;
-//   - sharded runs bit-identical across cell counts (2 vs 3). Sharded
-//     digests intentionally differ from unsharded ones whenever a
-//     detection scene is present — split detector streams are part of
-//     the sharded contract and Cells is digested for exactly that
-//     reason — so the gate compares shardings to each other, like the
-//     platform's own sharded suite;
+//   - one digest for every layout: serial (Workers=1) == pooled
+//     (Workers=8) in the one-cell layout == sharded over 2 and 3
+//     cells, detection scene or not;
 //   - a checkpoint taken mid-flight, and one taken before the first
-//     tick, restored onto a freshly built pooled platform must finish
-//     bit-identically to the donor run. The tick-0 case covers
-//     timeline faults already due at launch but not yet injected.
+//     tick, from the serial one-cell run and restored onto a freshly
+//     built pooled platform over 3 cells must finish bit-identically
+//     to the donor run. The tick-0 case covers timeline faults already
+//     due at launch but not yet injected.
 //
 // Safety invariants are checked after every tick of every run.
 func TestScenarioProperty(t *testing.T) {
@@ -190,17 +186,18 @@ func TestScenarioProperty(t *testing.T) {
 			}
 
 			serial := fly(t, sc, 1, 1, ticks, "serial")
-			if pooled := fly(t, sc, 8, 1, ticks, "pooled"); pooled != serial {
-				t.Errorf("pooled run diverges from serial: %s != %s", pooled, serial)
-			}
-			sharded := fly(t, sc, 1, 2, ticks, "sharded-2")
-			if got := fly(t, sc, 8, 3, ticks, "sharded-3"); got != sharded {
-				t.Errorf("sharded digests diverge across cell counts: %s != %s", got, sharded)
+			for _, v := range []struct {
+				workers, cells int
+				tag            string
+			}{{8, 1, "pooled"}, {1, 2, "sharded-2"}, {8, 3, "sharded-3"}} {
+				if got := fly(t, sc, v.workers, v.cells, ticks, v.tag); got != serial {
+					t.Errorf("%s run diverges from serial: %s != %s", v.tag, got, serial)
+				}
 			}
 
 			// Checkpoint/resume identity: kill the serial run at tick 0
-			// and halfway, restore onto a pooled rebuild, fly both to
-			// the same end.
+			// and halfway, restore onto a pooled rebuild over another
+			// cell count, fly both to the same end.
 			for _, at := range []int{0, ticks / 2} {
 				donor := launch(t, sc, 1, 1)
 				tickN(t, sc, donor.Platform, at, "donor")
@@ -209,7 +206,7 @@ func TestScenarioProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("checkpoint at tick %d: %v", at, err)
 				}
-				resumed := launch(t, sc, 8, 1)
+				resumed := launch(t, sc, 8, 3)
 				if err := resumed.Platform.RestoreCheckpoint(snap); err != nil {
 					t.Fatalf("restore at tick %d: %v", at, err)
 				}

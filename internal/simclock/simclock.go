@@ -95,18 +95,13 @@ func (c *Clock) Stream(name string) *rand.Rand {
 }
 
 // ShardStreams returns n deterministic sub-streams of the named stream
-// family, one per shard, creating them on first use. For n <= 1 it
-// degrades to the single Stream(name), so unsharded callers keep the
-// legacy draw sequence bit-identical. Shard i draws from the named
-// stream "<name>/shard<i>"; the split depends only on (seed, name, i),
-// never on how shards are scheduled, so concurrent shards stay
-// reproducible. Call this before handing the streams to concurrent
-// workers: stream creation mutates the clock's registry and is not
-// goroutine-safe.
+// family, one per shard, creating them on first use. Shard i draws from
+// the named stream "<name>/shard<i>", never from Stream(name) itself;
+// the split depends only on (seed, name, i), never on how shards are
+// scheduled, so concurrent shards stay reproducible. Call this before
+// handing the streams to concurrent workers: stream creation mutates
+// the clock's registry and is not goroutine-safe.
 func (c *Clock) ShardStreams(name string, n int) []*rand.Rand {
-	if n <= 1 {
-		return []*rand.Rand{c.Stream(name)}
-	}
 	out := make([]*rand.Rand, n)
 	for i := range out {
 		out[i] = c.Stream(fmt.Sprintf("%s/shard%03d", name, i))

@@ -305,18 +305,18 @@ func TestRestoreStreamsKeepsCapturedHandles(t *testing.T) {
 	}
 }
 
-// TestShardStreams pins the split semantics behind cell-sharded
-// scheduling: n <= 1 degrades to the plain named stream so unsharded
-// callers keep the legacy draw sequence, while n > 1 yields
-// deterministic per-shard sub-streams that reproduce across clocks with
-// the same seed and checkpoint like any other named stream.
+// TestShardStreams pins the per-vehicle stream split: every n >= 1
+// yields deterministic per-shard sub-streams, never the plain named
+// stream (a one-UAV fleet's captures must not share the stream that
+// drew anything else), that reproduce across clocks with the same seed
+// and checkpoint like any other named stream.
 func TestShardStreams(t *testing.T) {
 	a := New(5)
-	if got := a.ShardStreams("det", 1); len(got) != 1 || got[0] != a.Stream("det") {
-		t.Fatal("n=1 must return the plain named stream")
+	if got := a.ShardStreams("det", 1); len(got) != 1 || got[0] != a.Stream("det/shard000") || got[0] == a.Stream("det") {
+		t.Fatal("n=1 must return the det/shard000 stream")
 	}
-	if got := a.ShardStreams("det", 0); len(got) != 1 || got[0] != a.Stream("det") {
-		t.Fatal("n<=0 must return the plain named stream")
+	if got := a.ShardStreams("det", 0); len(got) != 0 {
+		t.Fatalf("n=0 returned %d streams, want none", len(got))
 	}
 
 	b := New(5)
