@@ -1,7 +1,7 @@
 // SafeML drift detection: watch the perception monitor's uncertainty
 // rise as a UAV's survey altitude pushes the camera-feature
 // distribution away from the training reference — the §V-B trigger —
-// and compare the five statistical distance measures on the same data.
+// and compare the six statistical distance measures on the same data.
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 			alt, report.Distance, report.Uncertainty*100, report.Action)
 	}
 
-	fmt.Println("\nsame drift, all five distance measures (alt 60 m window):")
+	fmt.Println("\nsame drift, all six distance measures (alt 60 m window):")
 	for _, m := range sesame.DistanceMeasures() {
 		cfg := sesame.DefaultPerceptionConfig()
 		cfg.Measure = m

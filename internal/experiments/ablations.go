@@ -79,7 +79,7 @@ func RunAblations(seed int64) (*AblationResult, error) {
 		// Null distribution of the statistic.
 		var null []float64
 		for i := 0; i < trials*2; i++ {
-			d, err := m.Distance(ref, window(0))
+			d, err := statdist.Distance(m, ref, window(0))
 			if err != nil {
 				return nil, err
 			}
@@ -89,14 +89,14 @@ func RunAblations(seed int64) (*AblationResult, error) {
 		thr := campaign.Percentile(null, 0.95)
 		var hits, falses int
 		for i := 0; i < trials; i++ {
-			d, err := m.Distance(ref, window(1.2))
+			d, err := statdist.Distance(m, ref, window(1.2))
 			if err != nil {
 				return nil, err
 			}
 			if d > thr {
 				hits++
 			}
-			d0, err := m.Distance(ref, window(0))
+			d0, err := statdist.Distance(m, ref, window(0))
 			if err != nil {
 				return nil, err
 			}

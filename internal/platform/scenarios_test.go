@@ -2,7 +2,8 @@ package platform
 
 // Additional fault-injection scenarios exercising the integration
 // paths not covered by the headline §V experiments: rotor loss on a
-// quad, C2-link loss, and camera failure during a perception mission.
+// quad, a pack at critical charge, C2-link loss, and camera failure
+// during a perception mission.
 
 import (
 	"testing"
@@ -46,6 +47,71 @@ func TestRotorFailureEmergencyLandsAndRedistributes(t *testing.T) {
 	}
 	if av >= 1 {
 		t.Fatal("u3 availability must reflect the loss")
+	}
+}
+
+// TestCriticalChargeLandsAndRedistributes drains u1's pack to just
+// above the critical charge mid-sweep. Its flight controller lands it
+// before the pack is flat, and the Task Manager hands its unflown strip
+// to the survivors, as it does for a crash.
+func TestCriticalChargeLandsAndRedistributes(t *testing.T) {
+	p := buildPlatform(t, DefaultConfig(), 10, 0)
+	if err := p.StartMission(classicArea(400)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if err := p.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u1, _ := p.World.UAV("u1")
+	u1.Battery.ChargePct = 5.5
+	if err := p.RunMission(1500); err != nil {
+		t.Fatal(err)
+	}
+	if u1.Mode() != uavsim.ModeLanded || u1.Battery.Depleted() {
+		t.Fatalf("u1 mode %v at %.2f %% charge, want landed on charge left", u1.Mode(), u1.Battery.ChargePct)
+	}
+	if _, still := p.Mission().Assignments["u1"]; still {
+		t.Fatal("u1 still assigned after its failsafe landing")
+	}
+	for _, id := range []string{"u2", "u3"} {
+		u, _ := p.World.UAV(id)
+		if u.RemainingWaypoints() != 0 {
+			t.Fatalf("%s did not finish the redistributed work (%d wps left)", id, u.RemainingWaypoints())
+		}
+	}
+	if !p.MissionComplete() {
+		t.Fatal("mission incomplete")
+	}
+}
+
+// TestFleetOutlastsEndurance flies a fleet over an area far larger
+// than one pack can sweep, past its endurance. The critical-charge
+// failsafe lands every vehicle; none flies its pack flat. The fleet
+// stays as healthy as the perfbench fleet check requires: nothing
+// crashed or lost, no drops and no IDS alerts.
+func TestFleetOutlastsEndurance(t *testing.T) {
+	p := buildFleet(t, DefaultConfig(), 203, 4, 0)
+	if err := p.StartMission(classicArea(20000)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1800; i++ {
+		if err := p.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := p.Status()
+	for _, u := range s.UAVs {
+		if u.Mode != uavsim.ModeLanded.String() || u.LinkLost {
+			t.Errorf("%s: mode %s, link lost %v; want landed on its own failsafe", u.ID, u.Mode, u.LinkLost)
+		}
+	}
+	if s.Drops != (DropCounters{}) || s.WorldDrops != (uavsim.DropCounters{}) {
+		t.Errorf("drops %+v, world drops %+v, want zero", s.Drops, s.WorldDrops)
+	}
+	if n := len(p.IDS.Alerts()); n > 0 {
+		t.Errorf("%d IDS alerts on a clean fleet", n)
 	}
 }
 

@@ -422,10 +422,12 @@ func (p *Platform) apply(id string, ob observation, now float64) error {
 		return nil
 	}
 
-	// A crash (rotor loss on a quad, battery depletion) takes the
-	// vehicle out of the mission instantly; the Task Manager
-	// redistributes its unfinished work.
-	if u.Mode() == uavsim.ModeCrashed && st.inMission {
+	// A crash (rotor loss on a quad, battery depletion) or the flight
+	// controller's critical-charge landing takes the vehicle out of the
+	// mission instantly; the Task Manager redistributes its unfinished
+	// work. Every emergency landing the platform commands leaves the
+	// mission first, so one seen in mission is the vehicle's own.
+	if m := u.Mode(); (m == uavsim.ModeCrashed || m == uavsim.ModeEmergencyLanding) && st.inMission {
 		st.inMission = false
 		st.swapPending = false
 		countIn(&p.drops.availability, p.avail.MarkDown(id, now))

@@ -3,10 +3,12 @@ package safeml
 // Differential tests pinning the rank-indexed Evaluate path to the
 // sorted-column path (DistanceSorted) and to statdist.FeatureDistance
 // over the raw window rows, bit for bit, across tied values, window
-// wrap-around, Reset, State/Restore mid-window, NaN windows and a NaN
-// reference.
+// wrap-around, Reset, State/Restore mid-window and NaN windows; and the
+// NaN contract: a NaN window fails with statdist.ErrNaN, a NaN
+// reference is refused.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -63,8 +65,8 @@ func checkRankIndex(t *testing.T, m *Monitor) {
 }
 
 // checkEvaluate compares the monitor's Evaluate with the sorted-column
-// path and with FeatureDistance over the raw rows.
-func checkEvaluate(t *testing.T, m *Monitor) {
+// path and with FeatureDistance of the reference over the raw rows.
+func checkEvaluate(t *testing.T, m *Monitor, ref [][]float64) {
 	t.Helper()
 	if !m.filled {
 		if _, err := m.Evaluate(); err == nil {
@@ -73,7 +75,7 @@ func checkEvaluate(t *testing.T, m *Monitor) {
 		return
 	}
 	rep, err := m.Evaluate()
-	wantPer, wantMean, wantErr := statdist.FeatureDistance(m.cfg.Measure, m.ref, liveRows(m))
+	wantPer, wantMean, wantErr := statdist.FeatureDistance(m.cfg.Measure, ref, liveRows(m))
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("Evaluate error %v, FeatureDistance error %v", err, wantErr)
 	}
@@ -87,7 +89,7 @@ func checkEvaluate(t *testing.T, m *Monitor) {
 		if math.Float64bits(d) != math.Float64bits(wantPer[f]) {
 			t.Fatalf("feature %d: %v != FeatureDistance %v", f, d, wantPer[f])
 		}
-		sorted, err := m.sorted.DistanceSorted(m.refSorted[f], m.winSorted[f])
+		sorted, err := m.cfg.Measure.DistanceSorted(m.refSorted[f], m.winSorted[f])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +121,7 @@ func TestRankedEvaluateMatchesSorted(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkRankIndex(t, m)
-				checkEvaluate(t, m)
+				checkEvaluate(t, m, ref)
 				switch {
 				case i == len(rows)/2 && rng.Intn(3) == 0:
 					m.Reset()
@@ -135,7 +137,7 @@ func TestRankedEvaluateMatchesSorted(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkRankIndex(t, m2)
-					checkEvaluate(t, m2)
+					checkEvaluate(t, m2, ref)
 					m = m2
 				}
 			}
@@ -143,53 +145,47 @@ func TestRankedEvaluateMatchesSorted(t *testing.T) {
 	}
 }
 
-func TestRankedEvaluateNaNWindowFallsBack(t *testing.T) {
+func TestEvaluateNaNWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	cfg := DefaultConfig()
-	cfg.WindowSize = 8
-	m, err := NewMonitor(quantizedRows(rng, 50, 3), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := quantizedRows(rng, 40, 3)
-	rows[10][1] = math.NaN()
-	for i, row := range rows {
-		if err := m.Push(row); err != nil {
-			t.Fatal(err)
-		}
-		checkRankIndex(t, m)
-		inWindow := i >= 10 && i < 10+cfg.WindowSize
-		if _, err := m.Evaluate(); m.filled && (err != nil) != inWindow {
-			t.Fatalf("push %d: Evaluate error %v, NaN in window %v", i, err, inWindow)
-		}
-		checkEvaluate(t, m)
-	}
-}
-
-func TestRankedEvaluateNaNReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	ref := quantizedRows(rng, 30, 2)
-	ref[7][0] = math.NaN()
-	for _, measure := range []statdist.Measure{statdist.KolmogorovSmirnov{}, statdist.Kuiper{}} {
+	for _, measure := range statdist.All() {
 		cfg := DefaultConfig()
 		cfg.Measure = measure
-		cfg.WindowSize = 5
+		cfg.WindowSize = 8
+		ref := quantizedRows(rng, 50, 3)
 		m, err := NewMonitor(ref, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.ranked != nil {
-			t.Fatalf("%s: NaN reference must leave the rank path off", measure.Name())
-		}
-		for _, row := range quantizedRows(rng, 5, 2) {
+		rows := quantizedRows(rng, 40, 3)
+		rows[10][1] = math.NaN()
+		for i, row := range rows {
 			if err := m.Push(row); err != nil {
 				t.Fatal(err)
 			}
+			if m.ranked != nil {
+				checkRankIndex(t, m)
+			}
+			inWindow := i >= 10 && i < 10+cfg.WindowSize
+			if _, err := m.Evaluate(); m.filled && inWindow != errors.Is(err, statdist.ErrNaN) {
+				t.Fatalf("%s push %d: Evaluate error %v, NaN in window %v", measure.Name(), i, err, inWindow)
+			}
+			// With the NaN live, Evaluate and FeatureDistance fail with
+			// the same text; once it is evicted they agree bit for bit.
+			checkEvaluate(t, m, ref)
 		}
-		_, err = m.Evaluate()
-		_, _, want := statdist.FeatureDistance(measure, ref, m.window)
-		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Fatalf("%s: Evaluate error %v, want %v", measure.Name(), err, want)
+	}
+}
+
+func TestNewMonitorRejectsNaNReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	ref := quantizedRows(rng, 30, 2)
+	ref[7][1] = math.NaN()
+	for _, measure := range statdist.All() {
+		cfg := DefaultConfig()
+		cfg.Measure = measure
+		cfg.WindowSize = 5
+		if m, err := NewMonitor(ref, cfg); m != nil || !errors.Is(err, statdist.ErrNaN) {
+			t.Fatalf("%s: NewMonitor over a NaN reference gave (%v, %v), want ErrNaN", measure.Name(), m, err)
 		}
 	}
 }

@@ -100,18 +100,17 @@ type Report struct {
 // Monitor is the runtime SafeML instance for one perception model.
 //
 // The steady-state Evaluate path is incremental and allocation-free:
-// the reference is column-sorted once at NewMonitor, the runtime
-// window maintains one sorted column per feature by binary-search
-// insert/remove on Push, and sorted-capable measures (every measure in
-// statdist) compare the two sorted columns directly. Rank-capable
-// measures (statdist.RankedMeasure: KS and Kuiper) go further: Push
-// also stores each window value's rank in the reference column, kept
-// in step with the sorted window column, and Evaluate computes the
-// distance from those ranks in O(window) per feature. The reported
-// distances are bit-identical to sorting the raw window on every call.
+// the reference is read once at NewMonitor into sorted columns, the
+// runtime window maintains one sorted column per feature by
+// binary-search insert/remove on Push, and the measure compares the two
+// sorted columns directly. Rank-capable measures
+// (statdist.RankedMeasure: KS and Kuiper) go further: Push also stores
+// each window value's rank in the reference column, kept in step with
+// the sorted window column, and Evaluate computes the distance from
+// those ranks in O(window) per feature. The reported distances are
+// bit-identical to statdist.FeatureDistance over the raw rows.
 type Monitor struct {
 	cfg Config
-	ref [][]float64
 	// refSorted[f] is the reference's feature-f column, sorted once.
 	refSorted [][]float64
 
@@ -123,7 +122,7 @@ type Monitor struct {
 	count  int
 	// winSorted[f] is the incrementally maintained sorted column of the
 	// current window's feature f. NaN values are excluded (they have no
-	// order) and tracked by nanCount instead.
+	// order) and counted by nanCount; Evaluate fails while any is live.
 	winSorted [][]float64
 	nanCount  int
 	// below[f][k] is the number of refSorted[f] values strictly below
@@ -131,19 +130,16 @@ type Monitor struct {
 	// live. Maintained only when ranked is set.
 	below [][]int32
 
-	// sorted is cfg.Measure's allocation-free fast path (nil if the
-	// measure does not implement statdist.SortedMeasure).
-	sorted statdist.SortedMeasure
-	// ranked is cfg.Measure's rank fast path: nil if the measure does
-	// not implement statdist.RankedMeasure or the reference holds a NaN
-	// (which DistanceSorted then reports, as it always did).
+	// ranked is cfg.Measure's rank fast path, nil if the measure does
+	// not implement statdist.RankedMeasure.
 	ranked statdist.RankedMeasure
 	// perFeature is the reusable Report.PerFeature buffer.
 	perFeature []float64
 }
 
 // NewMonitor builds a monitor around the training reference feature
-// matrix (rows = samples, columns = features).
+// matrix (rows = samples, columns = features), which must hold no NaN.
+// The matrix is read once into sorted columns and not retained.
 func NewMonitor(reference [][]float64, cfg Config) (*Monitor, error) {
 	if len(reference) == 0 {
 		return nil, errors.New("safeml: empty reference set")
@@ -156,6 +152,11 @@ func NewMonitor(reference [][]float64, cfg Config) (*Monitor, error) {
 		if len(row) != width {
 			return nil, fmt.Errorf("safeml: reference row %d has %d features, want %d", i, len(row), width)
 		}
+		for _, v := range row {
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("safeml: reference row %d: %w", i, statdist.ErrNaN)
+			}
+		}
 	}
 	if cfg.Measure == nil {
 		cfg.Measure = statdist.KolmogorovSmirnov{}
@@ -166,29 +167,22 @@ func NewMonitor(reference [][]float64, cfg Config) (*Monitor, error) {
 	if cfg.RejectAt <= cfg.CautionAt {
 		return nil, errors.New("safeml: require CautionAt < RejectAt")
 	}
-	ref := make([][]float64, len(reference))
-	for i, row := range reference {
-		ref[i] = append([]float64(nil), row...)
-	}
-	m := &Monitor{cfg: cfg, ref: ref, window: make([][]float64, cfg.WindowSize)}
+	m := &Monitor{cfg: cfg, window: make([][]float64, cfg.WindowSize)}
 	for i := range m.window {
 		m.window[i] = make([]float64, width)
 	}
 	m.refSorted = make([][]float64, width)
 	m.winSorted = make([][]float64, width)
-	refNaN := false
 	for f := 0; f < width; f++ {
-		col := make([]float64, len(ref))
-		for i, row := range ref {
+		col := make([]float64, len(reference))
+		for i, row := range reference {
 			col[i] = row[f]
-			refNaN = refNaN || math.IsNaN(col[i])
 		}
 		sort.Float64s(col)
 		m.refSorted[f] = col
 		m.winSorted[f] = make([]float64, 0, cfg.WindowSize)
 	}
-	m.sorted, _ = cfg.Measure.(statdist.SortedMeasure)
-	if ranked, ok := cfg.Measure.(statdist.RankedMeasure); ok && !refNaN {
+	if ranked, ok := cfg.Measure.(statdist.RankedMeasure); ok {
 		m.ranked = ranked
 		block := make([]int32, width*cfg.WindowSize)
 		m.below = make([][]int32, width)
@@ -201,7 +195,7 @@ func NewMonitor(reference [][]float64, cfg Config) (*Monitor, error) {
 }
 
 // FeatureDim returns the expected feature vector width.
-func (m *Monitor) FeatureDim() int { return len(m.ref[0]) }
+func (m *Monitor) FeatureDim() int { return len(m.refSorted) }
 
 // Ready reports whether the window has filled at least once.
 func (m *Monitor) Ready() bool { return m.filled }
@@ -239,9 +233,7 @@ func (m *Monitor) Push(features []float64) error {
 // rank path, its reference rank at the same position.
 func (m *Monitor) insertSorted(f int, v float64) {
 	if math.IsNaN(v) {
-		// NaN has no order; track it separately and keep the column
-		// well-sorted. Evaluate falls back to the raw path (which
-		// reports the same error the unoptimized monitor did).
+		// NaN has no order; count it and keep the column well-sorted.
 		m.nanCount++
 		return
 	}
@@ -336,16 +328,14 @@ func (m *Monitor) Evaluate() (Report, error) {
 }
 
 // featureDistances computes the per-feature distances of the full
-// window against the reference. The steady-state path evaluates the
-// incrementally maintained sorted window columns, from their reference
-// ranks for rank-capable measures and against the pre-sorted reference
-// columns otherwise, without sorting or allocating; the result is
-// bit-identical to statdist.FeatureDistance over the raw rows, which
-// remains the fallback for non-sorted measures and NaN-polluted
-// windows.
+// window against the reference. It evaluates the incrementally
+// maintained sorted window columns, from their reference ranks for
+// rank-capable measures and against the sorted reference columns
+// otherwise, without sorting or allocating. A window holding a NaN
+// fails with statdist.ErrNaN.
 func (m *Monitor) featureDistances() ([]float64, float64, error) {
-	if m.sorted == nil || m.nanCount > 0 {
-		return statdist.FeatureDistance(m.cfg.Measure, m.ref, m.window)
+	if m.nanCount > 0 {
+		return nil, 0, statdist.ErrNaN
 	}
 	var mean float64
 	for f := range m.perFeature {
@@ -355,7 +345,7 @@ func (m *Monitor) featureDistances() ([]float64, float64, error) {
 			d = m.ranked.DistanceRanked(m.refSorted[f], win, m.below[f][:len(win)])
 		} else {
 			var err error
-			if d, err = m.sorted.DistanceSorted(m.refSorted[f], win); err != nil {
+			if d, err = m.cfg.Measure.DistanceSorted(m.refSorted[f], win); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -384,19 +374,11 @@ func (m *Monitor) EvaluateWithPValue(rounds int, rng *rand.Rand) (Report, float6
 	if rng == nil {
 		return Report{}, 0, errors.New("safeml: nil rng")
 	}
+	// Evaluate succeeded, so the window is full and NaN-free: its
+	// sorted columns hold every live value.
 	minP := 1.0
-	refCol := make([]float64, 0, len(m.ref))
-	obsCol := make([]float64, 0, len(m.window))
-	for f := 0; f < m.FeatureDim(); f++ {
-		refCol = refCol[:0]
-		obsCol = obsCol[:0]
-		for _, row := range m.ref {
-			refCol = append(refCol, row[f])
-		}
-		for _, row := range m.window {
-			obsCol = append(obsCol, row[f])
-		}
-		p, _, err := statdist.PermutationPValue(m.cfg.Measure, refCol, obsCol, rounds, rng)
+	for f, ref := range m.refSorted {
+		p, _, err := statdist.PermutationPValue(m.cfg.Measure, ref, m.winSorted[f], rounds, rng)
 		if err != nil {
 			return Report{}, 0, err
 		}

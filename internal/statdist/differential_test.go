@@ -56,30 +56,23 @@ func ranks(ref, b []float64) []int32 {
 	return lo
 }
 
-// checkAgainstOracle asserts the optimized Distance and DistanceSorted
-// paths match the naive oracle on one input pair, and that the rank
-// path of the ECDF measures matches DistanceSorted.
+// checkAgainstOracle asserts the sorted kernel matches the naive
+// oracle on one input pair, and that the rank path of the ECDF measures
+// matches the sorted kernel.
 func checkAgainstOracle(t *testing.T, m Measure, a, b []float64) {
 	t.Helper()
 	want, err := NaiveDistance(m, a, b)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", m.Name(), err)
 	}
-	got, err := m.Distance(a, b)
-	if err != nil {
-		t.Fatalf("%s: Distance: %v", m.Name(), err)
-	}
 	sa, sb := sortedCopy(a), sortedCopy(b)
-	gotSorted, err := m.(SortedMeasure).DistanceSorted(sa, sb)
+	got, err := m.DistanceSorted(sa, sb)
 	if err != nil {
 		t.Fatalf("%s: DistanceSorted: %v", m.Name(), err)
 	}
-	if !sameValue(gotSorted, got) {
-		t.Fatalf("%s: DistanceSorted %v != Distance %v (must be bit-identical)", m.Name(), gotSorted, got)
-	}
 	if rm, ok := m.(RankedMeasure); ok {
-		if gotRanked := rm.DistanceRanked(sa, sb, ranks(sa, sb)); math.Float64bits(gotRanked) != math.Float64bits(gotSorted) {
-			t.Fatalf("%s: DistanceRanked %v != DistanceSorted %v (must be bit-identical)\na=%v\nb=%v", m.Name(), gotRanked, gotSorted, a, b)
+		if gotRanked := rm.DistanceRanked(sa, sb, ranks(sa, sb)); math.Float64bits(gotRanked) != math.Float64bits(got) {
+			t.Fatalf("%s: DistanceRanked %v != DistanceSorted %v (must be bit-identical)\na=%v\nb=%v", m.Name(), gotRanked, got, a, b)
 		}
 	}
 	if _, isEnergy := m.(Energy); isEnergy {
@@ -164,16 +157,6 @@ func TestRankBelow(t *testing.T) {
 	}
 }
 
-// TestSortedMeasureCoverage pins the expectation that every measure
-// ships the allocation-free sorted fast path.
-func TestSortedMeasureCoverage(t *testing.T) {
-	for _, m := range All() {
-		if _, ok := m.(SortedMeasure); !ok {
-			t.Errorf("%s does not implement SortedMeasure", m.Name())
-		}
-	}
-}
-
 // TestPermutationPValueMatchesUnhoistedLoop re-runs the permutation
 // test with a deliberately naive in-test loop on the same RNG stream
 // and asserts the hoisted-buffer implementation returns the same
@@ -188,9 +171,9 @@ func TestPermutationPValueMatchesUnhoistedLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		// Reference loop: shuffle and call the plain Distance path.
+		// Reference loop: shuffle and call Distance on fresh copies.
 		rng := rand.New(rand.NewSource(5))
-		obs2, err := m.Distance(a, b)
+		obs2, err := Distance(m, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +181,7 @@ func TestPermutationPValueMatchesUnhoistedLoop(t *testing.T) {
 		exceed := 0
 		for r := 0; r < rounds; r++ {
 			rng.Shuffle(len(pooled), func(i, j int) { pooled[i], pooled[j] = pooled[j], pooled[i] })
-			d, err := m.Distance(pooled[:len(a)], pooled[len(a):])
+			d, err := Distance(m, pooled[:len(a)], pooled[len(a):])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +229,7 @@ func FuzzMeasuresDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", m.Name(), err)
 			}
-			got, err := m.(SortedMeasure).DistanceSorted(sa, sb)
+			got, err := m.DistanceSorted(sa, sb)
 			if err != nil {
 				t.Fatalf("%s: DistanceSorted: %v", m.Name(), err)
 			}

@@ -14,27 +14,24 @@ import (
 	"sort"
 )
 
-// Measure is a two-sample distance between empirical distributions.
+// Measure is a two-sample distance between empirical distributions,
+// evaluated on sorted samples. Callers that hold unsorted samples use
+// Distance.
 type Measure interface {
 	// Name returns the canonical measure name.
 	Name() string
-	// Distance returns the sample distance between a and b. Larger
-	// means more dissimilar. Returns an error on empty input.
-	Distance(a, b []float64) (float64, error)
+	// DistanceSorted returns the sample distance between a and b, each
+	// sorted ascending. Larger means more dissimilar. It returns an
+	// error on empty input or a NaN (ErrNaN); passing unsorted input is
+	// a caller error and yields an unspecified value. It performs no
+	// allocation.
+	DistanceSorted(a, b []float64) (float64, error)
 }
 
-// SortedMeasure is implemented by measures that can evaluate
-// pre-sorted samples without sorting or allocating. All measures in
-// this package implement it; callers that keep their samples sorted
-// (safeml's reference columns and sliding window) use it to make the
-// per-tick evaluation allocation-free.
-type SortedMeasure interface {
-	Measure
-	// DistanceSorted returns Distance(a, b) assuming a and b are each
-	// sorted ascending. The result is bit-identical to Distance on the
-	// same multisets; passing unsorted input is a caller error and
-	// yields an unspecified value. It performs no allocation.
-	DistanceSorted(a, b []float64) (float64, error)
+// Distance returns m's distance between a and b in any order: it sorts
+// copies of both and calls m.DistanceSorted.
+func Distance(m Measure, a, b []float64) (float64, error) {
+	return m.DistanceSorted(sortedCopy(a), sortedCopy(b))
 }
 
 // RankedMeasure is implemented by the ECDF-deviation measures
@@ -44,7 +41,7 @@ type SortedMeasure interface {
 // enters the sample, and then evaluate the distance in one pass over
 // the sample instead of a merge walk over both.
 type RankedMeasure interface {
-	SortedMeasure
+	Measure
 	// DistanceRanked returns DistanceSorted(ref, b) bit for bit, given
 	// lo[k] = RankBelow(ref, b[k]) for every k. ref and b must be
 	// sorted ascending, non-empty and NaN-free: the caller checks that
@@ -77,18 +74,22 @@ func ByName(name string) (Measure, error) {
 
 var errEmpty = errors.New("statdist: empty sample")
 
+// ErrNaN reports a NaN in a sample: NaN has no order, so no measure is
+// defined over it.
+var ErrNaN = errors.New("statdist: NaN in sample")
+
 func checkSamples(a, b []float64) error {
 	if len(a) == 0 || len(b) == 0 {
 		return errEmpty
 	}
 	for _, v := range a {
 		if math.IsNaN(v) {
-			return errors.New("statdist: NaN in sample")
+			return ErrNaN
 		}
 	}
 	for _, v := range b {
 		if math.IsNaN(v) {
-			return errors.New("statdist: NaN in sample")
+			return ErrNaN
 		}
 	}
 	return nil
@@ -190,16 +191,7 @@ type KolmogorovSmirnov struct{}
 // Name implements Measure.
 func (KolmogorovSmirnov) Name() string { return "kolmogorov-smirnov" }
 
-// Distance implements Measure.
-func (m KolmogorovSmirnov) Distance(a, b []float64) (float64, error) {
-	if err := checkSamples(a, b); err != nil {
-		return 0, err
-	}
-	dp, dm := ecdfDevSorted(sortedCopy(a), sortedCopy(b))
-	return math.Max(dp, dm), nil
-}
-
-// DistanceSorted implements SortedMeasure.
+// DistanceSorted implements Measure.
 func (KolmogorovSmirnov) DistanceSorted(a, b []float64) (float64, error) {
 	if err := checkSamples(a, b); err != nil {
 		return 0, err
@@ -222,16 +214,7 @@ type Kuiper struct{}
 // Name implements Measure.
 func (Kuiper) Name() string { return "kuiper" }
 
-// Distance implements Measure.
-func (Kuiper) Distance(a, b []float64) (float64, error) {
-	if err := checkSamples(a, b); err != nil {
-		return 0, err
-	}
-	dp, dm := ecdfDevSorted(sortedCopy(a), sortedCopy(b))
-	return dp + dm, nil
-}
-
-// DistanceSorted implements SortedMeasure.
+// DistanceSorted implements Measure.
 func (Kuiper) DistanceSorted(a, b []float64) (float64, error) {
 	if err := checkSamples(a, b); err != nil {
 		return 0, err
@@ -254,15 +237,7 @@ type AndersonDarling struct{}
 // Name implements Measure.
 func (AndersonDarling) Name() string { return "anderson-darling" }
 
-// Distance implements Measure.
-func (AndersonDarling) Distance(a, b []float64) (float64, error) {
-	if err := checkSamples(a, b); err != nil {
-		return 0, err
-	}
-	return adSorted(sortedCopy(a), sortedCopy(b)), nil
-}
-
-// DistanceSorted implements SortedMeasure.
+// DistanceSorted implements Measure.
 func (AndersonDarling) DistanceSorted(a, b []float64) (float64, error) {
 	if err := checkSamples(a, b); err != nil {
 		return 0, err
@@ -321,15 +296,7 @@ type CramerVonMises struct{}
 // Name implements Measure.
 func (CramerVonMises) Name() string { return "cramer-von-mises" }
 
-// Distance implements Measure.
-func (CramerVonMises) Distance(a, b []float64) (float64, error) {
-	if err := checkSamples(a, b); err != nil {
-		return 0, err
-	}
-	return cvmSorted(sortedCopy(a), sortedCopy(b)), nil
-}
-
-// DistanceSorted implements SortedMeasure.
+// DistanceSorted implements Measure.
 func (CramerVonMises) DistanceSorted(a, b []float64) (float64, error) {
 	if err := checkSamples(a, b); err != nil {
 		return 0, err
@@ -382,15 +349,7 @@ type Wasserstein struct{}
 // Name implements Measure.
 func (Wasserstein) Name() string { return "wasserstein" }
 
-// Distance implements Measure.
-func (Wasserstein) Distance(a, b []float64) (float64, error) {
-	if err := checkSamples(a, b); err != nil {
-		return 0, err
-	}
-	return wassersteinSorted(sortedCopy(a), sortedCopy(b)), nil
-}
-
-// DistanceSorted implements SortedMeasure.
+// DistanceSorted implements Measure.
 func (Wasserstein) DistanceSorted(a, b []float64) (float64, error) {
 	if err := checkSamples(a, b); err != nil {
 		return 0, err
@@ -448,15 +407,7 @@ type Energy struct{}
 // Name implements Measure.
 func (Energy) Name() string { return "energy" }
 
-// Distance implements Measure.
-func (Energy) Distance(a, b []float64) (float64, error) {
-	if err := checkSamples(a, b); err != nil {
-		return 0, err
-	}
-	return energySorted(sortedCopy(a), sortedCopy(b)), nil
-}
-
-// DistanceSorted implements SortedMeasure.
+// DistanceSorted implements Measure.
 func (Energy) DistanceSorted(a, b []float64) (float64, error) {
 	if err := checkSamples(a, b); err != nil {
 		return 0, err
@@ -532,34 +483,24 @@ func PermutationPValue(m Measure, a, b []float64, rounds int, rng *rand.Rand) (p
 	if rng == nil {
 		return 0, 0, errors.New("statdist: nil rng")
 	}
-	observed, err = m.Distance(a, b)
+	observed, err = Distance(m, a, b)
 	if err != nil {
 		return 0, 0, err
 	}
 	// All scratch is hoisted out of the resampling loop: the pooled
-	// array is shuffled in place, and for sorted-capable measures the
-	// two half buffers are re-sorted in place each round, so the loop
-	// itself performs no allocation.
+	// array is shuffled in place and the two half buffers are re-sorted
+	// in place each round, so the loop itself performs no allocation.
 	pooled := append(append([]float64(nil), a...), b...)
-	sm, fast := m.(SortedMeasure)
-	var ha, hb []float64
-	if fast {
-		ha = make([]float64, len(a))
-		hb = make([]float64, len(b))
-	}
+	ha := make([]float64, len(a))
+	hb := make([]float64, len(b))
 	exceed := 0
 	for r := 0; r < rounds; r++ {
 		rng.Shuffle(len(pooled), func(i, j int) { pooled[i], pooled[j] = pooled[j], pooled[i] })
-		var d float64
-		if fast {
-			copy(ha, pooled[:len(a)])
-			copy(hb, pooled[len(a):])
-			sort.Float64s(ha)
-			sort.Float64s(hb)
-			d, err = sm.DistanceSorted(ha, hb)
-		} else {
-			d, err = m.Distance(pooled[:len(a)], pooled[len(a):])
-		}
+		copy(ha, pooled[:len(a)])
+		copy(hb, pooled[len(a):])
+		sort.Float64s(ha)
+		sort.Float64s(hb)
+		d, err := m.DistanceSorted(ha, hb)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -595,9 +536,7 @@ func FeatureDistance(m Measure, ref, obs [][]float64) (perFeature []float64, mea
 	perFeature = make([]float64, nf)
 	col := make([]float64, 0, len(ref))
 	colObs := make([]float64, 0, len(obs))
-	// The column buffers are scratch, so sorted-capable measures can
-	// sort them in place and skip Distance's internal copies.
-	sm, fast := m.(SortedMeasure)
+	// The column buffers are scratch, so they are sorted in place.
 	for f := 0; f < nf; f++ {
 		col = col[:0]
 		colObs = colObs[:0]
@@ -607,15 +546,9 @@ func FeatureDistance(m Measure, ref, obs [][]float64) (perFeature []float64, mea
 		for _, row := range obs {
 			colObs = append(colObs, row[f])
 		}
-		var d float64
-		var err error
-		if fast {
-			sort.Float64s(col)
-			sort.Float64s(colObs)
-			d, err = sm.DistanceSorted(col, colObs)
-		} else {
-			d, err = m.Distance(col, colObs)
-		}
+		sort.Float64s(col)
+		sort.Float64s(colObs)
+		d, err := m.DistanceSorted(col, colObs)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,6 +1,7 @@
 package statdist
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func TestAllMeasuresListed(t *testing.T) {
 func TestIdenticalSamplesGiveZero(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, m := range All() {
-		d, err := m.Distance(x, x)
+		d, err := Distance(m, x, x)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -51,14 +52,14 @@ func TestIdenticalSamplesGiveZero(t *testing.T) {
 
 func TestEmptyAndNaNRejected(t *testing.T) {
 	for _, m := range All() {
-		if _, err := m.Distance(nil, []float64{1}); err == nil {
+		if _, err := Distance(m, nil, []float64{1}); err == nil {
 			t.Errorf("%s: empty a accepted", m.Name())
 		}
-		if _, err := m.Distance([]float64{1}, nil); err == nil {
+		if _, err := Distance(m, []float64{1}, nil); err == nil {
 			t.Errorf("%s: empty b accepted", m.Name())
 		}
-		if _, err := m.Distance([]float64{math.NaN()}, []float64{1}); err == nil {
-			t.Errorf("%s: NaN accepted", m.Name())
+		if _, err := Distance(m, []float64{math.NaN()}, []float64{1}); !errors.Is(err, ErrNaN) {
+			t.Errorf("%s: NaN gave %v, want ErrNaN", m.Name(), err)
 		}
 	}
 }
@@ -68,8 +69,8 @@ func TestSymmetry(t *testing.T) {
 	a := gaussian(rng, 40, 0, 1)
 	b := gaussian(rng, 55, 0.5, 1.5)
 	for _, m := range All() {
-		d1, _ := m.Distance(a, b)
-		d2, _ := m.Distance(b, a)
+		d1, _ := Distance(m, a, b)
+		d2, _ := Distance(m, b, a)
 		if math.Abs(d1-d2) > 1e-9 {
 			t.Errorf("%s: asymmetric (%v vs %v)", m.Name(), d1, d2)
 		}
@@ -80,7 +81,7 @@ func TestKSKnownValue(t *testing.T) {
 	// a entirely below b: D = 1.
 	a := []float64{1, 2, 3}
 	b := []float64{10, 11, 12}
-	d, err := KolmogorovSmirnov{}.Distance(a, b)
+	d, err := Distance(KolmogorovSmirnov{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestKSHalfShift(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{3, 4, 5, 6}
 	// Fa(2)=0.5, Fb(2)=0 -> D = 0.5.
-	d, _ := KolmogorovSmirnov{}.Distance(a, b)
+	d, _ := Distance(KolmogorovSmirnov{}, a, b)
 	if math.Abs(d-0.5) > 1e-12 {
 		t.Fatalf("KS = %v, want 0.5", d)
 	}
@@ -104,8 +105,8 @@ func TestKuiperAtLeastKS(t *testing.T) {
 		rng := rand.New(rand.NewSource(seedRaw))
 		a := gaussian(rng, 30, 0, 1)
 		b := gaussian(rng, 30, rng.Float64(), 1+rng.Float64())
-		ks, _ := KolmogorovSmirnov{}.Distance(a, b)
-		ku, _ := Kuiper{}.Distance(a, b)
+		ks, _ := Distance(KolmogorovSmirnov{}, a, b)
+		ku, _ := Distance(Kuiper{}, a, b)
 		return ku >= ks-1e-12 && ku <= 2*ks+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -121,7 +122,7 @@ func TestWassersteinTranslation(t *testing.T) {
 	for i, v := range a {
 		b[i] = v + shift
 	}
-	d, err := Wasserstein{}.Distance(a, b)
+	d, err := Distance(Wasserstein{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestDistancesGrowWithShift(t *testing.T) {
 			for i, v := range ref {
 				obs[i] = v + shift
 			}
-			d, err := m.Distance(ref, obs)
+			d, err := Distance(m, ref, obs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,8 +160,8 @@ func TestAndersonDarlingSensitiveToTails(t *testing.T) {
 	b := gaussian(rng, 300, 0, 3)
 	same := gaussian(rng, 300, 0, 1)
 	ad := AndersonDarling{}
-	dDiff, _ := ad.Distance(a, b)
-	dSame, _ := ad.Distance(a, same)
+	dDiff, _ := Distance(ad, a, b)
+	dSame, _ := Distance(ad, a, same)
 	if dDiff < 4*dSame {
 		t.Fatalf("AD variance sensitivity too weak: diff=%v same=%v", dDiff, dSame)
 	}
@@ -171,7 +172,7 @@ func TestCVMBetweenZeroAndOne(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := gaussian(rng, 25, 0, 1)
 		b := gaussian(rng, 35, 2*rng.Float64(), 1)
-		d, err := CramerVonMises{}.Distance(a, b)
+		d, err := Distance(CramerVonMises{}, a, b)
 		return err == nil && d >= 0 && d < float64(len(a)+len(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -260,7 +261,7 @@ func BenchmarkKS200(b *testing.B) {
 	y := gaussian(rng, 200, 1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (KolmogorovSmirnov{}).Distance(x, y); err != nil {
+		if _, err := Distance(KolmogorovSmirnov{}, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,7 +276,7 @@ func BenchmarkAllMeasures200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range ms {
-			if _, err := m.Distance(x, y); err != nil {
+			if _, err := Distance(m, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}

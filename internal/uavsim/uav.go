@@ -255,6 +255,13 @@ func (u *UAV) EmergencyLand() {
 // waypointCaptureM is the horizontal capture radius.
 const waypointCaptureM = 1.5
 
+// criticalChargePct is the flight controller's critical-battery
+// failsafe, as on the M300 this model stands in for: an airborne
+// vehicle at or below it lands where it is, whatever it was commanded.
+// Even at the overheat drain (3x) it leaves ~25 s of charge for a
+// descent that takes ~10 s, so a vehicle no longer flies its pack flat.
+const criticalChargePct = 5
+
 // step advances the vehicle by dt seconds, reading and writing the
 // world's struct-of-arrays slots for this vehicle. The kinematic
 // parameters (cruise, climb, stall floor) live in the fleet store, so a
@@ -270,12 +277,20 @@ func (u *UAV) step(dt float64) {
 		f.speed[i] = 0
 		return
 	}
+	if f.mode[i].Airborne() && u.Battery.ChargePct <= criticalChargePct {
+		// Unlike a commanded EmergencyLand, the failsafe keeps the
+		// unflown waypoints, as a crash does, so the mission layer can
+		// hand them to the rest of the fleet.
+		u.setMode(ModeEmergencyLanding)
+	}
 
 	var vel geo.ENU
 	climb := 0.0
 	minSpd := f.minSpd[i]
 
-	if u.GuidanceOverride != nil && f.mode[i].Airborne() {
+	// An emergency landing descends under the flight controller's own
+	// guidance: an external override must not hold the vehicle aloft.
+	if u.GuidanceOverride != nil && f.mode[i].Airborne() && f.mode[i] != ModeEmergencyLanding {
 		vel = u.GuidanceOverride(u, dt)
 		if n := vel.Norm(); n > f.cruise[i] && n > 0 {
 			vel = vel.Scale(f.cruise[i] / n)

@@ -215,6 +215,27 @@ func TestDepletedBatteryCrashes(t *testing.T) {
 	}
 }
 
+// TestCriticalChargeLands pins the critical-charge failsafe: a vehicle
+// that reaches it lands where it is instead of flying its pack flat,
+// also while an external guidance override steers it.
+func TestCriticalChargeLands(t *testing.T) {
+	for _, override := range []bool{false, true} {
+		w := newTestWorld(t)
+		u := addUAV(t, w, "u1")
+		mustTakeOff(t, w, u, 20)
+		if override {
+			u.GuidanceOverride = func(*UAV, float64) geo.ENU { return geo.ENU{East: 5} }
+		}
+		u.Battery.ChargePct = criticalChargePct + 1
+		if err := w.Run(w.Clock.Now()+120, 1); err != nil {
+			t.Fatal(err)
+		}
+		if u.Mode() != ModeLanded || u.Battery.Depleted() {
+			t.Fatalf("override %v: mode %v at %.2f %% charge, want landed on charge left", override, u.Mode(), u.Battery.ChargePct)
+		}
+	}
+}
+
 func TestRotorFailureQuadCrashes(t *testing.T) {
 	w := newTestWorld(t)
 	u := addUAV(t, w, "u1")

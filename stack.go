@@ -37,7 +37,8 @@ type PerceptionConfig = safeml.Config
 // PerceptionReport is one window evaluation.
 type PerceptionReport = safeml.Report
 
-// DistanceMeasure is a two-sample statistical distance.
+// DistanceMeasure is a two-sample statistical distance: DistanceSorted
+// compares two samples, each sorted ascending.
 type DistanceMeasure = statdist.Measure
 
 // DefaultPerceptionConfig returns the §V-B calibration.
