@@ -145,9 +145,6 @@ func (c *ConSert) Validate() error {
 type Composition struct {
 	conserts map[string]*ConSert
 	order    []string // topological evaluation order
-	// qualified[name][i] is the precomputed "name/guaranteeID" key of
-	// guarantee i of ConSert name, so evaluation never concatenates.
-	qualified map[string][]string
 }
 
 // NewComposition validates the ConSerts, resolves demand references,
@@ -234,14 +231,6 @@ func NewComposition(conserts ...*ConSert) (*Composition, error) {
 	if len(comp.order) != len(comp.conserts) {
 		return nil, errors.New("conserts: demand cycle detected")
 	}
-	comp.qualified = make(map[string][]string, len(comp.conserts))
-	for name, c := range comp.conserts {
-		keys := make([]string, len(c.Guarantees))
-		for i, g := range c.Guarantees {
-			keys[i] = name + "/" + g.ID
-		}
-		comp.qualified[name] = keys
-	}
 	return comp, nil
 }
 
@@ -257,80 +246,27 @@ type Result struct {
 }
 
 // Evaluate resolves the whole composition bottom-up under the given
-// evidence and returns per-ConSert results. For per-tick evaluation
-// loops, an Evaluator amortizes the result storage across calls.
+// evidence and returns per-ConSert results.
 func (comp *Composition) Evaluate(ev Evidence) map[string]Result {
-	return comp.evaluateInto(ev, make(map[string]bool), make(map[string]Result, len(comp.conserts)), nil)
-}
-
-// evaluateInto runs the bottom-up resolution writing into the supplied
-// satisfied set and result map; satBufs, when non-nil, provides the
-// per-ConSert backing arrays for the Satisfied slices (keyed like
-// comp.conserts). Callers must pass an empty satisfied map.
-func (comp *Composition) evaluateInto(ev Evidence, satisfied map[string]bool, out map[string]Result, satBufs map[string][]string) map[string]Result {
+	satisfied := make(map[string]bool)
+	out := make(map[string]Result, len(comp.conserts))
 	for _, name := range comp.order {
 		c := comp.conserts[name]
-		keys := comp.qualified[name]
-		res := Result{ConSert: name, Satisfied: satBufs[name]}
-		var best *Guarantee
+		res := Result{ConSert: name}
 		for i := range c.Guarantees {
 			g := &c.Guarantees[i]
-			ok := g.Cond == nil || g.Cond.eval(ev, satisfied)
-			if ok {
-				satisfied[keys[i]] = true
+			if g.Cond == nil || g.Cond.eval(ev, satisfied) {
+				satisfied[name+"/"+g.ID] = true
 				res.Satisfied = append(res.Satisfied, g.ID)
-				if best == nil || g.Rank > best.Rank {
-					best = g
+				if res.Best == nil || g.Rank > res.Best.Rank {
+					res.Best = g
 				}
 			}
 		}
-		res.Best = best
 		sort.Strings(res.Satisfied)
-		if satBufs != nil {
-			satBufs[name] = res.Satisfied[:0]
-		}
-		if len(res.Satisfied) == 0 {
-			res.Satisfied = nil
-		}
 		out[name] = res
 	}
 	return out
-}
-
-// Evaluator amortizes Composition evaluation: the satisfied set, the
-// result map and the Satisfied backing arrays are allocated once and
-// reused, so steady-state Evaluate calls allocate nothing. The result
-// map and its Satisfied slices are owned by the Evaluator and
-// overwritten by the next Evaluate; copy them to retain them. Not safe
-// for concurrent use — give each concurrent caller its own Evaluator.
-type Evaluator struct {
-	comp      *Composition
-	satisfied map[string]bool
-	out       map[string]Result
-	satBufs   map[string][]string
-}
-
-// NewEvaluator builds a reusable evaluator over the composition.
-func NewEvaluator(comp *Composition) *Evaluator {
-	e := &Evaluator{
-		comp:      comp,
-		satisfied: make(map[string]bool),
-		out:       make(map[string]Result, len(comp.conserts)),
-		satBufs:   make(map[string][]string, len(comp.conserts)),
-	}
-	for name, c := range comp.conserts {
-		e.satBufs[name] = make([]string, 0, len(c.Guarantees))
-	}
-	return e
-}
-
-// Evaluate is Composition.Evaluate over the evaluator's reusable
-// storage. The results are identical to the allocating path.
-func (e *Evaluator) Evaluate(ev Evidence) map[string]Result {
-	for k := range e.satisfied {
-		delete(e.satisfied, k)
-	}
-	return e.comp.evaluateInto(ev, e.satisfied, e.out, e.satBufs)
 }
 
 // ConSertNames returns the composition members in evaluation order.

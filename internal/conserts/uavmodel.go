@@ -3,6 +3,7 @@ package conserts
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // This file encodes the hierarchical ConSert network of the paper's
@@ -246,10 +247,75 @@ func EvaluateUAV(comp *Composition, ev Evidence) (UAVAction, map[string]Result, 
 	return action, results, err
 }
 
-// UAVAction is EvaluateUAV over the evaluator's reusable storage: the
-// per-tick hot path, allocation-free in steady state.
-func (e *Evaluator) UAVAction(ev Evidence) (UAVAction, error) {
-	return uavActionFrom(e.Evaluate(ev))
+// UAVEvidence is the Fig. 1 network's evidence as a bit vector, one
+// bit per runtime evidence name (UAVGPSQualityOK is EvGPSQualityOK,
+// and so on). The network reads nothing else, so the vector fixes the
+// selected action.
+type UAVEvidence uint16
+
+// The evidence bits, lowest first.
+const (
+	UAVGPSQualityOK UAVEvidence = 1 << iota
+	UAVNoSpoofing
+	UAVCameraHealthy
+	UAVPerceptionConfident
+	UAVNearbyDroneDetection
+	UAVCommsOK
+	UAVNeighborsAvailable
+	UAVReliabilityHigh
+	UAVReliabilityMedium
+)
+
+// uavEvidenceNames names the UAVEvidence bits, lowest first.
+var uavEvidenceNames = [...]string{
+	EvGPSQualityOK, EvNoSpoofing, EvCameraHealthy, EvPerceptionConfident,
+	EvNearbyDroneDetection, EvCommsOK, EvNeighborsAvailable,
+	EvReliabilityHigh, EvReliabilityMedium,
+}
+
+// Set returns e with bit set when v holds and cleared otherwise.
+func (e UAVEvidence) Set(bit UAVEvidence, v bool) UAVEvidence {
+	if v {
+		return e | bit
+	}
+	return e &^ bit
+}
+
+// Evidence expands the vector into an evidence map that holds all nine
+// names.
+func (e UAVEvidence) Evidence() Evidence {
+	ev := make(Evidence, len(uavEvidenceNames))
+	for i, name := range uavEvidenceNames {
+		ev[name] = e&(1<<i) != 0
+	}
+	return ev
+}
+
+// uavActions is the Fig. 1 network evaluated once per process under
+// every evidence vector with EvaluateUAV.
+var uavActions = sync.OnceValues(func() (*[1 << len(uavEvidenceNames)]UAVAction, error) {
+	comp, err := BuildUAVComposition()
+	if err != nil {
+		return nil, err
+	}
+	var table [1 << len(uavEvidenceNames)]UAVAction
+	for e := range table {
+		if table[e], _, err = EvaluateUAV(comp, UAVEvidence(e).Evidence()); err != nil {
+			return nil, err
+		}
+	}
+	return &table, nil
+})
+
+// UAVActionOf returns the action the Fig. 1 network selects under the
+// evidence vector: the per-tick hot path, one table read. It equals
+// EvaluateUAV over BuildUAVComposition and ev.Evidence().
+func UAVActionOf(ev UAVEvidence) (UAVAction, error) {
+	table, err := uavActions()
+	if err != nil {
+		return ActionEmergencyLand, err
+	}
+	return table[ev&(1<<len(uavEvidenceNames)-1)], nil
 }
 
 // uavActionFrom maps the UAV ConSert's best guarantee to the flight

@@ -21,7 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -92,6 +92,53 @@ func DefaultConfig() Config {
 	}
 }
 
+// alertTypes indexes the alert types for the per-vehicle cooldown
+// stamps; the order is fixed, not significant.
+var alertTypes = [...]string{
+	AlertUnauthorizedNode, AlertMessageInjection, AlertGPSAnomaly,
+	AlertTeleport, AlertLinkSilence,
+}
+
+// Indices into alertTypes.
+const (
+	kindUnauthorized = iota
+	kindInjection
+	kindGPSAnomaly
+	kindTeleport
+	kindSilence
+)
+
+// topicTrack is one topic's detection state, resolved on the topic's
+// first message so every later message costs one map lookup.
+type topicTrack struct {
+	topic string
+	// uav is parsed from the topic ("" off the /uav/ tree) and vehicle
+	// is its track.
+	uav     string
+	vehicle *vehicleTrack
+	// arrival is the rate rule's sliding window; rated marks a window
+	// the rule has opened.
+	arrival []float64
+	rated   bool
+	// lastSeen is the newest stamp; live marks a topic the silence rule
+	// watches (cleared when it raises, re-armed by fresh traffic).
+	lastSeen float64
+	live     bool
+}
+
+// vehicleTrack is one UAV's telemetry and cooldown state, keyed by the
+// UAV an alert or payload names.
+type vehicleTrack struct {
+	gps    uavsim.GPSFix
+	hasGPS bool
+	odo    geo.LatLng
+	hasOdo bool
+	// lastHit[k] is the stamp of the last raised alert of alertTypes[k];
+	// hit[k] marks that one was raised.
+	lastHit [len(alertTypes)]float64
+	hit     [len(alertTypes)]bool
+}
+
 // IDS is the live detector. Create with New; detach with Close.
 type IDS struct {
 	cfg    Config
@@ -101,13 +148,11 @@ type IDS struct {
 	mu        sync.Mutex
 	alerts    []Alert
 	pending   []Alert
-	arrival   map[string][]float64 // topic -> recent stamps
-	lastSeen  map[string]float64   // topic -> newest stamp (silence rule)
-	lastSweep float64              // newest stamp the silence sweep ran at
-	lastGPS   map[string]uavsim.GPSFix
-	lastOdo   map[string]geo.LatLng
-	hasOdo    map[string]bool
-	lastHit   map[string]float64 // type+uav -> stamp of last alert
+	topics    map[string]*topicTrack
+	vehicles  map[string]*vehicleTrack
+	tracks    []*topicTrack // every topic track, in creation order
+	silent    []*topicTrack // silence-sweep scratch
+	lastSweep float64       // newest stamp the silence sweep ran at
 
 	// Observability mirrors (nil when uninstrumented; all nil-safe).
 	// The per-rule evaluation counters are resolved once at Instrument:
@@ -134,12 +179,8 @@ func New(bus *rosbus.Bus, broker *mqttlite.Broker, cfg Config) (*IDS, error) {
 	d := &IDS{
 		cfg:      cfg,
 		broker:   broker,
-		arrival:  make(map[string][]float64),
-		lastSeen: make(map[string]float64),
-		lastGPS:  make(map[string]uavsim.GPSFix),
-		lastOdo:  make(map[string]geo.LatLng),
-		hasOdo:   make(map[string]bool),
-		lastHit:  make(map[string]float64),
+		topics:   make(map[string]*topicTrack),
+		vehicles: make(map[string]*vehicleTrack),
 	}
 	cancel, err := bus.Tap(d.inspect)
 	if err != nil {
@@ -147,6 +188,39 @@ func New(bus *rosbus.Bus, broker *mqttlite.Broker, cfg Config) (*IDS, error) {
 	}
 	d.cancel = cancel
 	return d, nil
+}
+
+// track returns the topic's track, creating it on first use. Callers
+// hold d.mu.
+func (d *IDS) track(topic string) *topicTrack {
+	if tt, ok := d.topics[topic]; ok {
+		return tt
+	}
+	uav := uavOf(topic)
+	tt := &topicTrack{topic: topic, uav: uav, vehicle: d.vehicle(uav)}
+	d.topics[topic] = tt
+	d.tracks = append(d.tracks, tt)
+	return tt
+}
+
+// vehicleOf returns the track of the UAV a payload on tt names: tt's
+// own, or a lookup for another. Callers hold d.mu.
+func (d *IDS) vehicleOf(tt *topicTrack, uav string) *vehicleTrack {
+	if uav == tt.uav {
+		return tt.vehicle
+	}
+	return d.vehicle(uav)
+}
+
+// vehicle returns the UAV's track, creating it on first use. Callers
+// hold d.mu.
+func (d *IDS) vehicle(uav string) *vehicleTrack {
+	vt, ok := d.vehicles[uav]
+	if !ok {
+		vt = &vehicleTrack{}
+		d.vehicles[uav] = vt
+	}
+	return vt
 }
 
 // Instrument mirrors rule evaluations and alert emissions into reg. A
@@ -205,49 +279,41 @@ func uavOf(topic string) string {
 // published to the broker after it is released, so broker handlers may
 // freely publish back onto the bus without deadlocking the tap.
 func (d *IDS) inspect(m rosbus.Message) {
-	uav := uavOf(m.Topic)
 	d.mu.Lock()
 	d.pending = d.pending[:0]
+	tt := d.track(m.Topic)
 
 	// Rule 1: publisher allow-list.
-	if allowed, checked := d.cfg.AllowedPublishers[m.Topic]; checked {
-		d.mEvalAllow.Inc()
-		ok := false
-		for _, a := range allowed {
-			if a == m.Publisher {
-				ok = true
-				break
+	if len(d.cfg.AllowedPublishers) > 0 {
+		if allowed, checked := d.cfg.AllowedPublishers[m.Topic]; checked {
+			d.mEvalAllow.Inc()
+			if !slices.Contains(allowed, m.Publisher) {
+				d.raise(tt.vehicle, kindUnauthorized, Alert{
+					UAV:    tt.uav,
+					Topic:  m.Topic,
+					Detail: fmt.Sprintf("publisher %q not in allow-list", m.Publisher),
+					Stamp:  m.Stamp,
+				})
 			}
-		}
-		if !ok {
-			d.raise(Alert{
-				Type:   AlertUnauthorizedNode,
-				UAV:    uav,
-				Topic:  m.Topic,
-				Detail: fmt.Sprintf("publisher %q not in allow-list", m.Publisher),
-				Stamp:  m.Stamp,
-			})
 		}
 	}
 
 	// Rule 2: rate anomaly.
 	if d.cfg.MaxRateHz > 0 {
 		d.mEvalRate.Inc()
-		window := d.arrival[m.Topic]
 		cutoff := m.Stamp - d.cfg.RateWindowS
-		keep := window[:0]
-		for _, s := range window {
+		keep := tt.arrival[:0]
+		for _, s := range tt.arrival {
 			if s >= cutoff {
 				keep = append(keep, s)
 			}
 		}
 		keep = append(keep, m.Stamp)
-		d.arrival[m.Topic] = keep
+		tt.arrival, tt.rated = keep, true
 		rate := float64(len(keep)) / d.cfg.RateWindowS
 		if rate > d.cfg.MaxRateHz && len(keep) >= 4 {
-			d.raise(Alert{
-				Type:   AlertMessageInjection,
-				UAV:    uav,
+			d.raise(tt.vehicle, kindInjection, Alert{
+				UAV:    tt.uav,
 				Topic:  m.Topic,
 				Detail: fmt.Sprintf("rate %.2f Hz exceeds %.2f Hz budget", rate, d.cfg.MaxRateHz),
 				Stamp:  m.Stamp,
@@ -266,44 +332,40 @@ func (d *IDS) inspect(m rosbus.Message) {
 		if m.Stamp > d.lastSweep {
 			d.lastSweep = m.Stamp
 			d.mEvalSilence.Inc()
-			// Collect expired topics first and raise in sorted order: a
+			// Collect expired topics first and raise in topic order: a
 			// fleet-wide outage silences several topics at the same stamp,
-			// and alert order must not depend on map iteration — the
-			// downstream security events are digested.
-			var silent []string
-			for topic, last := range d.lastSeen {
-				if topic == m.Topic {
-					continue
-				}
-				if m.Stamp-last > d.cfg.SilenceTimeoutS {
-					silent = append(silent, topic)
+			// and the downstream security events are digested.
+			d.silent = d.silent[:0]
+			for _, st := range d.tracks {
+				if st.live && st != tt && m.Stamp-st.lastSeen > d.cfg.SilenceTimeoutS {
+					d.silent = append(d.silent, st)
 				}
 			}
-			sort.Strings(silent)
-			for _, topic := range silent {
-				d.raise(Alert{
-					Type:   AlertLinkSilence,
-					UAV:    uavOf(topic),
-					Topic:  topic,
-					Detail: fmt.Sprintf("no traffic for %.0f s (timeout %.0f s)", m.Stamp-d.lastSeen[topic], d.cfg.SilenceTimeoutS),
+			slices.SortFunc(d.silent, func(a, b *topicTrack) int { return strings.Compare(a.topic, b.topic) })
+			for _, st := range d.silent {
+				d.raise(st.vehicle, kindSilence, Alert{
+					UAV:    st.uav,
+					Topic:  st.topic,
+					Detail: fmt.Sprintf("no traffic for %.0f s (timeout %.0f s)", m.Stamp-st.lastSeen, d.cfg.SilenceTimeoutS),
 					Stamp:  m.Stamp,
 				})
 				// Re-arm only after fresh traffic.
-				delete(d.lastSeen, topic)
+				st.lastSeen, st.live = 0, false
 			}
 		}
-		if m.Stamp > d.lastSeen[m.Topic] {
-			d.lastSeen[m.Topic] = m.Stamp
+		if m.Stamp > tt.lastSeen {
+			tt.lastSeen, tt.live = m.Stamp, true
 		}
 	}
 
-	// Rules 3 & 4 consume typed telemetry.
+	// Rules 3 & 4 consume typed telemetry, keyed by the UAV the payload
+	// names (normally the topic's own).
 	switch p := m.Payload.(type) {
 	case uavsim.GPSFix:
-		d.inspectGPS(m, p)
+		d.inspectGPS(m, p, d.vehicleOf(tt, p.UAV))
 	case uavsim.StatusReport:
-		d.lastOdo[p.UAV] = p.Position
-		d.hasOdo[p.UAV] = true
+		vt := d.vehicleOf(tt, p.UAV)
+		vt.odo, vt.hasOdo = p.Position, true
 	}
 
 	toPublish := append([]Alert(nil), d.pending...)
@@ -321,18 +383,17 @@ func (d *IDS) inspect(m rosbus.Message) {
 	}
 }
 
-func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix) {
+func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix, vt *vehicleTrack) {
 	if fix.Quality == uavsim.GPSLost {
 		return
 	}
 	// Teleport: implied speed between consecutive fixes.
-	if prev, ok := d.lastGPS[fix.UAV]; ok && fix.Stamp > prev.Stamp {
+	if prev := vt.gps; vt.hasGPS && fix.Stamp > prev.Stamp {
 		d.mEvalTeleport.Inc()
 		dt := fix.Stamp - prev.Stamp
 		speed := geo.Haversine(prev.Position, fix.Position) / dt
 		if d.cfg.MaxSpeedMS > 0 && speed > d.cfg.MaxSpeedMS {
-			d.raise(Alert{
-				Type:   AlertTeleport,
+			d.raise(vt, kindTeleport, Alert{
 				UAV:    fix.UAV,
 				Topic:  m.Topic,
 				Detail: fmt.Sprintf("implied speed %.1f m/s exceeds %.1f m/s", speed, d.cfg.MaxSpeedMS),
@@ -340,15 +401,14 @@ func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix) {
 			})
 		}
 	}
-	d.lastGPS[fix.UAV] = fix
+	vt.gps, vt.hasGPS = fix, true
 
 	// GPS/odometry divergence.
-	if d.cfg.GPSDivergenceM > 0 && d.hasOdo[fix.UAV] {
+	if d.cfg.GPSDivergenceM > 0 && vt.hasOdo {
 		d.mEvalGPS.Inc()
-		div := geo.Haversine(fix.Position, d.lastOdo[fix.UAV])
+		div := geo.Haversine(fix.Position, vt.odo)
 		if div > d.cfg.GPSDivergenceM {
-			d.raise(Alert{
-				Type:   AlertGPSAnomaly,
+			d.raise(vt, kindGPSAnomaly, Alert{
 				UAV:    fix.UAV,
 				Topic:  m.Topic,
 				Detail: fmt.Sprintf("GPS diverges %.1f m from odometry (bound %.1f m)", div, d.cfg.GPSDivergenceM),
@@ -358,15 +418,16 @@ func (d *IDS) inspectGPS(m rosbus.Message, fix uavsim.GPSFix) {
 	}
 }
 
-// raise records an alert and queues it for publication, respecting the
-// cooldown. Callers hold d.mu.
-func (d *IDS) raise(a Alert) {
-	key := a.Type + "|" + a.UAV
-	if last, ok := d.lastHit[key]; ok && a.Stamp-last < d.cfg.CooldownS {
+// raise records an alert of type alertTypes[kind] and queues it for
+// publication, respecting the cooldown. vt is the track of a.UAV.
+// Callers hold d.mu.
+func (d *IDS) raise(vt *vehicleTrack, kind int, a Alert) {
+	if vt.hit[kind] && a.Stamp-vt.lastHit[kind] < d.cfg.CooldownS {
 		d.mSuppressed.Inc()
 		return
 	}
-	d.lastHit[key] = a.Stamp
+	vt.lastHit[kind], vt.hit[kind] = a.Stamp, true
+	a.Type = alertTypes[kind]
 	d.mAlerts.With(a.Type).Inc()
 	d.alerts = append(d.alerts, a)
 	d.pending = append(d.pending, a)

@@ -1,6 +1,9 @@
 package ids
 
 import (
+	"slices"
+	"strings"
+
 	"sesame/internal/geo"
 	"sesame/internal/uavsim"
 )
@@ -20,68 +23,81 @@ type State struct {
 	LastHit  map[string]float64       `json:"last_hit"`
 }
 
-// State exports the detection state.
+// State exports the detection state keyed by topic, UAV id and
+// "type|uav". Checkpoints and parked missions carry this schema, so it
+// does not follow the tracks' layout.
 func (d *IDS) State() State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := State{
 		Alerts:   append([]Alert(nil), d.alerts...),
-		Arrival:  make(map[string][]float64, len(d.arrival)),
-		LastSeen: make(map[string]float64, len(d.lastSeen)),
-		LastGPS:  make(map[string]uavsim.GPSFix, len(d.lastGPS)),
-		LastOdo:  make(map[string]geo.LatLng, len(d.lastOdo)),
-		HasOdo:   make(map[string]bool, len(d.hasOdo)),
-		LastHit:  make(map[string]float64, len(d.lastHit)),
+		Arrival:  make(map[string][]float64),
+		LastSeen: make(map[string]float64),
+		LastGPS:  make(map[string]uavsim.GPSFix),
+		LastOdo:  make(map[string]geo.LatLng),
+		HasOdo:   make(map[string]bool),
+		LastHit:  make(map[string]float64),
 	}
-	for k, v := range d.arrival {
-		s.Arrival[k] = append([]float64(nil), v...)
+	for _, tt := range d.tracks {
+		if tt.rated {
+			s.Arrival[tt.topic] = append([]float64(nil), tt.arrival...)
+		}
+		if tt.live {
+			s.LastSeen[tt.topic] = tt.lastSeen
+		}
 	}
-	for k, v := range d.lastSeen {
-		s.LastSeen[k] = v
-	}
-	for k, v := range d.lastGPS {
-		s.LastGPS[k] = v
-	}
-	for k, v := range d.lastOdo {
-		s.LastOdo[k] = v
-	}
-	for k, v := range d.hasOdo {
-		s.HasOdo[k] = v
-	}
-	for k, v := range d.lastHit {
-		s.LastHit[k] = v
+	for uav, vt := range d.vehicles {
+		if vt.hasGPS {
+			s.LastGPS[uav] = vt.gps
+		}
+		if vt.hasOdo {
+			s.LastOdo[uav] = vt.odo
+			s.HasOdo[uav] = true
+		}
+		for k, hit := range vt.hit {
+			if hit {
+				s.LastHit[alertTypes[k]+"|"+uav] = vt.lastHit[k]
+			}
+		}
 	}
 	return s
 }
 
-// Restore overwrites the detection state.
+// Restore overwrites the detection state. Every State that State
+// produced round-trips exactly; odometry without a true HasOdo entry
+// and cooldown keys of unknown alert types are dropped, as no rule
+// reads them.
 func (d *IDS) Restore(s State) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.alerts = append(d.alerts[:0:0], s.Alerts...)
 	d.pending = nil
-	d.arrival = make(map[string][]float64, len(s.Arrival))
+	d.topics = make(map[string]*topicTrack, len(s.Arrival))
+	d.vehicles = make(map[string]*vehicleTrack, len(s.LastGPS))
+	d.tracks, d.silent = nil, nil
 	for k, v := range s.Arrival {
-		d.arrival[k] = append([]float64(nil), v...)
+		tt := d.track(k)
+		tt.arrival, tt.rated = append([]float64(nil), v...), true
 	}
-	d.lastSeen = make(map[string]float64, len(s.LastSeen))
 	for k, v := range s.LastSeen {
-		d.lastSeen[k] = v
+		tt := d.track(k)
+		tt.lastSeen, tt.live = v, true
 	}
-	d.lastGPS = make(map[string]uavsim.GPSFix, len(s.LastGPS))
 	for k, v := range s.LastGPS {
-		d.lastGPS[k] = v
+		vt := d.vehicle(k)
+		vt.gps, vt.hasGPS = v, true
 	}
-	d.lastOdo = make(map[string]geo.LatLng, len(s.LastOdo))
-	for k, v := range s.LastOdo {
-		d.lastOdo[k] = v
-	}
-	d.hasOdo = make(map[string]bool, len(s.HasOdo))
 	for k, v := range s.HasOdo {
-		d.hasOdo[k] = v
+		if v {
+			vt := d.vehicle(k)
+			vt.odo, vt.hasOdo = s.LastOdo[k], true
+		}
 	}
-	d.lastHit = make(map[string]float64, len(s.LastHit))
 	for k, v := range s.LastHit {
-		d.lastHit[k] = v
+		typ, uav, _ := strings.Cut(k, "|")
+		if kind := slices.Index(alertTypes[:], typ); kind >= 0 {
+			vt := d.vehicle(uav)
+			vt.lastHit[kind], vt.hit[kind] = v, true
+		}
 	}
 }

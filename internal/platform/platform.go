@@ -200,8 +200,9 @@ type uavState struct {
 	collocCtrl *colloc.Controller
 	descended  bool
 	rescans    int
-	// mapManipKey / c2HijackKey are the "<id>/<attack>" security query
-	// keys, concatenated once instead of every tick.
+	// mapManipKey / c2HijackKey are the security.CompromiseKey of the
+	// vehicle's two attack-tree roots, concatenated once instead of
+	// every tick.
 	mapManipKey string
 	c2HijackKey string
 	// Baseline battery-swap state (§V-A without-SESAME behaviour):
@@ -281,13 +282,7 @@ type Platform struct {
 	Coordinator *eddi.Coordinator
 	DB          *Database
 
-	cfg  Config
-	comp *conserts.Composition
-	// eval and evidence are the reusable ConSert evaluation scratch.
-	// fuse runs only in the serial apply phase, so sharing one across
-	// the fleet is race-free.
-	eval     *conserts.Evaluator
-	evidence conserts.Evidence
+	cfg      Config
 	assessor *sinadra.Assessor
 	detector *detection.Detector
 	scene    *detection.Scene
@@ -412,12 +407,6 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 		if err != nil {
 			return nil, err
 		}
-		p.comp, err = conserts.BuildUAVComposition()
-		if err != nil {
-			return nil, err
-		}
-		p.eval = conserts.NewEvaluator(p.comp)
-		p.evidence = make(conserts.Evidence, 16)
 		p.assessor, err = sinadra.NewAssessor(sinadra.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -431,8 +420,8 @@ func New(world *uavsim.World, scene *detection.Scene, cfg Config) (*Platform, er
 	for _, u := range uavs {
 		st := &uavState{
 			uav: u, action: conserts.ActionContinue,
-			mapManipKey: u.ID() + "/map-manipulation",
-			c2HijackKey: u.ID() + "/c2-hijack",
+			mapManipKey: security.CompromiseKey(u.ID(), u.ID()+"/map-manipulation"),
+			c2HijackKey: security.CompromiseKey(u.ID(), u.ID()+"/c2-hijack"),
 		}
 		mcfg := safedrones.DefaultConfig()
 		if !cfg.SESAME {

@@ -489,27 +489,25 @@ func (p *Platform) descend(st *uavState) {
 	st.hasUncert = false
 }
 
-// fuse maps the UAV's state onto ConSert evidence and evaluates the
-// Fig. 1 composition.
+// fuse maps the UAV's state onto the ConSert evidence vector and reads
+// the Fig. 1 network's action for it.
 func (p *Platform) fuse(st *uavState, u *uavsim.UAV, id string) (conserts.UAVAction, error) {
-	// p.evidence and p.eval are shared scratch, reused every tick; fuse
-	// only runs in the serial apply phase (see the phase comment above).
-	ev := p.evidence
-	ev[conserts.EvGPSQualityOK] = u.GPS.Mode == uavsim.GPSModeNominal || u.GPS.Mode == uavsim.GPSModeSpoofed
-	ev[conserts.EvNoSpoofing] = !p.Security.CompromisedBy(id, st.mapManipKey)
-	ev[conserts.EvCameraHealthy] = u.Camera.OK
-	ev[conserts.EvPerceptionConfident] = !st.hasUncert || st.uncertainty < 0.9
-	ev[conserts.EvNearbyDroneDetection] = u.Camera.OK
-	commsOK := u.Comms.OK && !p.Security.CompromisedBy(id, st.c2HijackKey)
+	commsOK := u.Comms.OK && !p.Security.CompromisedKey(st.c2HijackKey)
 	// GCS-observed staleness demotes the comms guarantee: evidence must
 	// reflect what the ground station can actually see, not vehicle
 	// ground truth, once a lossy link sits between them.
 	if w := p.cfg.LostLinkWindowS; w > 0 && (st.lostLink || st.telemetryAge(p.World.Clock.Now()) > w) {
 		commsOK = false
 	}
-	ev[conserts.EvCommsOK] = commsOK
-	ev[conserts.EvNeighborsAvailable] = p.airborneNeighbors(id) > 0
-	ev[conserts.EvReliabilityHigh] = st.lastAssessment.Level == safedrones.LevelHigh
-	ev[conserts.EvReliabilityMedium] = st.lastAssessment.Level == safedrones.LevelMedium
-	return p.eval.UAVAction(ev)
+	var ev conserts.UAVEvidence
+	ev = ev.Set(conserts.UAVGPSQualityOK, u.GPS.Mode == uavsim.GPSModeNominal || u.GPS.Mode == uavsim.GPSModeSpoofed)
+	ev = ev.Set(conserts.UAVNoSpoofing, !p.Security.CompromisedKey(st.mapManipKey))
+	ev = ev.Set(conserts.UAVCameraHealthy, u.Camera.OK)
+	ev = ev.Set(conserts.UAVPerceptionConfident, !st.hasUncert || st.uncertainty < 0.9)
+	ev = ev.Set(conserts.UAVNearbyDroneDetection, u.Camera.OK)
+	ev = ev.Set(conserts.UAVCommsOK, commsOK)
+	ev = ev.Set(conserts.UAVNeighborsAvailable, p.airborneNeighbors(id) > 0)
+	ev = ev.Set(conserts.UAVReliabilityHigh, st.lastAssessment.Level == safedrones.LevelHigh)
+	ev = ev.Set(conserts.UAVReliabilityMedium, st.lastAssessment.Level == safedrones.LevelMedium)
+	return conserts.UAVActionOf(ev)
 }

@@ -140,8 +140,11 @@ func (b *Bus) Instrument(reg *obsv.Registry) {
 const maxPublishDepth = 32
 
 // Publisher is a handle bound to a topic and an (unverified) node name.
+// It keeps the topic's state from Advertise, so publishing never looks
+// the topic up again.
 type Publisher struct {
 	bus   *Bus
+	ts    *topicState
 	topic string
 	node  string
 }
@@ -155,10 +158,12 @@ func (b *Bus) Advertise(topic, node string) (*Publisher, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ensureTopic(topic)
-	return &Publisher{bus: b, topic: topic, node: node}, nil
+	return &Publisher{bus: b, ts: b.ensureTopic(topic), topic: topic, node: node}, nil
 }
 
+// ensureTopic returns the topic's state, creating it on first use.
+// Topics are never removed, so the state a caller keeps stays live.
+// Callers hold b.mu.
 func (b *Bus) ensureTopic(topic string) *topicState {
 	ts, ok := b.topics[topic]
 	if !ok {
@@ -200,7 +205,7 @@ func without(es []entry, id int) []entry {
 // Publish sends payload on the publisher's topic at simulation time
 // stamp. Handlers run synchronously before Publish returns.
 func (p *Publisher) Publish(stamp float64, payload interface{}) error {
-	return p.bus.publish(Message{
+	return p.bus.publish(p.ts, Message{
 		Topic:     p.topic,
 		Publisher: p.node,
 		Stamp:     stamp,
@@ -211,7 +216,10 @@ func (p *Publisher) Publish(stamp float64, payload interface{}) error {
 // Inject delivers a fully caller-controlled message, spoofed publisher
 // name included. It is how attack scenarios model a compromised node.
 func (b *Bus) Inject(msg Message) error {
-	return b.publish(msg)
+	if msg.Topic == "" {
+		return errors.New("rosbus: empty topic")
+	}
+	return b.publish(nil, msg)
 }
 
 // SetFilter installs (or, with nil, removes) the bus-wide link filter.
@@ -233,32 +241,44 @@ func (b *Bus) WrapFilter(wrap func(next Filter) Filter) {
 	b.filter = wrap(b.filter)
 }
 
-func (b *Bus) publish(msg Message) error {
-	if msg.Topic == "" {
-		return errors.New("rosbus: empty topic")
-	}
-	b.mu.Lock()
+// enter takes the recursion guard and resolves the topic (ts, when
+// non-nil, is topic's state already). Callers hold b.mu; on error
+// enter has released it.
+func (b *Bus) enter(ts *topicState, topic string) (*topicState, error) {
 	if b.depth >= maxPublishDepth {
 		b.depthExceeded++
 		b.mDepthExceeded.Inc()
 		b.mu.Unlock()
-		return fmt.Errorf("%w: %d levels (handler loop?)", ErrDepthExceeded, maxPublishDepth)
+		return nil, fmt.Errorf("%w: %d levels (handler loop?)", ErrDepthExceeded, maxPublishDepth)
 	}
 	b.depth++
-	ts := b.ensureTopic(msg.Topic)
+	if ts == nil {
+		ts = b.ensureTopic(topic)
+	}
+	return ts, nil
+}
+
+// publish assigns msg the topic's next sequence number, offers it to
+// the filter and delivers it. ts is msg.Topic's state, or nil to
+// resolve it here.
+func (b *Bus) publish(ts *topicState, msg Message) error {
+	b.mu.Lock()
+	ts, err := b.enter(ts, msg.Topic)
+	if err != nil {
+		return err
+	}
 	ts.seq++
 	ts.published++
 	ts.mPublished.Inc()
 	msg.Seq = ts.seq
-	filter := b.filter
-	b.mu.Unlock()
-
-	// The filter runs outside the lock: a link layer may call Deliver
-	// (inline dup/reorder release) or schedule clock callbacks that do.
-	if filter != nil {
+	if filter := b.filter; filter != nil {
+		// The filter runs outside the lock: a link layer may call
+		// Deliver (inline dup/reorder release) or schedule clock
+		// callbacks that do.
+		b.mu.Unlock()
 		fwd, err := filter(msg)
+		b.mu.Lock()
 		if !fwd || err != nil {
-			b.mu.Lock()
 			b.filterConsumed++
 			b.mConsumed.Inc()
 			b.depth--
@@ -266,12 +286,7 @@ func (b *Bus) publish(msg Message) error {
 			return err
 		}
 	}
-
-	b.dispatch(msg)
-
-	b.mu.Lock()
-	b.depth--
-	b.mu.Unlock()
+	b.deliver(ts, msg)
 	return nil
 }
 
@@ -285,29 +300,19 @@ func (b *Bus) Deliver(msg Message) error {
 		return errors.New("rosbus: empty topic")
 	}
 	b.mu.Lock()
-	if b.depth >= maxPublishDepth {
-		b.depthExceeded++
-		b.mDepthExceeded.Inc()
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %d levels (handler loop?)", ErrDepthExceeded, maxPublishDepth)
+	ts, err := b.enter(nil, msg.Topic)
+	if err != nil {
+		return err
 	}
-	b.depth++
-	b.ensureTopic(msg.Topic)
-	b.mu.Unlock()
-
-	b.dispatch(msg)
-
-	b.mu.Lock()
-	b.depth--
-	b.mu.Unlock()
+	b.deliver(ts, msg)
 	return nil
 }
 
-// dispatch reads the topic's handler snapshot under the lock and runs
-// the handlers unlocked, in deterministic id order.
-func (b *Bus) dispatch(msg Message) {
-	b.mu.Lock()
-	handlers := b.ensureTopic(msg.Topic).handlers
+// deliver reads the topic's handler snapshot, releases b.mu (which the
+// caller holds, with the recursion guard taken), runs the handlers in
+// deterministic id order and releases the guard.
+func (b *Bus) deliver(ts *topicState, msg Message) {
+	handlers := ts.handlers
 	b.delivered++
 	b.mDelivered.Inc()
 	b.mu.Unlock()
@@ -315,6 +320,10 @@ func (b *Bus) dispatch(msg Message) {
 	for _, h := range handlers {
 		h(msg)
 	}
+
+	b.mu.Lock()
+	b.depth--
+	b.mu.Unlock()
 }
 
 // Stats returns a snapshot of the bus-wide counters.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sesame/internal/obsv"
 )
 
 func TestPublishSubscribe(t *testing.T) {
@@ -354,5 +356,78 @@ func BenchmarkPublishOneSubscriber(b *testing.B) {
 		if err := p.Publish(0, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPublisherHandleTracksBusChanges advertises first and changes the
+// bus after: a Publisher keeps its topic's state from Advertise, and
+// must still reach the current handler set, count into a registry
+// instrumented later, and share one sequence with Inject.
+func TestPublisherHandleTracksBusChanges(t *testing.T) {
+	b := NewBus()
+	pub, err := b.Advertise("/t", "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := b.Advertise("/u", "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	publish := func(p *Publisher, payload string) {
+		t.Helper()
+		if err := p.Publish(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(pub, "before")
+
+	reg := obsv.NewRegistry()
+	b.Instrument(reg)
+	cancel, err := b.Tap(func(m Message) { got = append(got, "tap:"+m.Payload.(string)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := b.Subscribe("/t", func(m Message) { got = append(got, "sub:"+m.Payload.(string)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(pub, "a")
+	publish(other, "b")
+	b.Unsubscribe(sub)
+	publish(pub, "c")
+	cancel()
+	publish(pub, "d")
+
+	want := []string{"sub:a", "tap:a", "tap:b", "tap:c"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	counts := reg.CounterValues()
+	if n := counts[`sesame_rosbus_published_total{topic="/t"}`]; n != 3 {
+		t.Errorf("/t published counter = %d, want 3 (publishes after Instrument)", n)
+	}
+	if n := counts[`sesame_rosbus_published_total{topic="/u"}`]; n != 1 {
+		t.Errorf("/u published counter = %d, want 1", n)
+	}
+
+	// Inject and the Publisher draw from one per-topic sequence.
+	var seqs []uint64
+	if _, err := b.Subscribe("/t", func(m Message) { seqs = append(seqs, m.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	publish(pub, "e")
+	if err := b.Inject(Message{Topic: "/t", Publisher: "evil", Stamp: 2, Payload: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	publish(pub, "g")
+	if len(seqs) != 3 || seqs[0] != 5 || seqs[1] != 6 || seqs[2] != 7 {
+		t.Fatalf("sequence across Publish/Inject/Publish = %v, want [5 6 7]", seqs)
+	}
+	if n := b.PublishedCount("/t"); n != 7 {
+		t.Fatalf("PublishedCount(/t) = %d, want 7", n)
+	}
+	if n := reg.CounterValues()[`sesame_rosbus_published_total{topic="/t"}`]; n != 6 {
+		t.Errorf("/t published counter after Inject = %d, want 6", n)
 	}
 }

@@ -50,7 +50,7 @@ type EDDI struct {
 	mu        sync.Mutex
 	trees     map[string][]*attacktree.Tree // uav -> monitored trees
 	triggered map[string]map[string]bool    // uav -> leaf id -> true
-	reported  map[string]bool               // uav+"/"+root -> reported
+	reported  map[string]bool               // CompromiseKey(uav, root) -> reported
 	events    []Event
 	handlers  []Handler
 	cancels   []func()
@@ -162,7 +162,7 @@ func (e *EDDI) ingest(uav string, a ids.Alert) {
 			Alert:       a,
 		}
 		if ev.RootReached {
-			key := uav + "/" + tree.Root().ID
+			key := CompromiseKey(uav, tree.Root().ID)
 			if e.reported[key] {
 				continue
 			}
@@ -193,7 +193,7 @@ func (e *EDDI) Compromised(uav string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, tree := range e.trees[uav] {
-		if e.reported[uav+"/"+tree.Root().ID] {
+		if e.reported[CompromiseKey(uav, tree.Root().ID)] {
 			return true
 		}
 	}
@@ -203,9 +203,18 @@ func (e *EDDI) Compromised(uav string) bool {
 // CompromisedBy reports whether the specific attack-tree root has been
 // reached for the UAV.
 func (e *EDDI) CompromisedBy(uav, rootID string) bool {
+	return e.CompromisedKey(CompromiseKey(uav, rootID))
+}
+
+// CompromiseKey names the UAV's attack-tree root for CompromisedKey.
+func CompromiseKey(uav, rootID string) string { return uav + "/" + rootID }
+
+// CompromisedKey is CompromisedBy over a key from CompromiseKey, for
+// callers that query the same root every tick.
+func (e *EDDI) CompromisedKey(key string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.reported[uav+"/"+rootID]
+	return e.reported[key]
 }
 
 // TriggeredLeaves returns the sorted ids of currently satisfied leaves
@@ -232,7 +241,7 @@ func (e *EDDI) Reset(uav string) {
 		}
 	}
 	for _, tree := range e.trees[uav] {
-		delete(e.reported, uav+"/"+tree.Root().ID)
+		delete(e.reported, CompromiseKey(uav, tree.Root().ID))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"sesame/internal/geo"
+	"sesame/internal/rosbus"
 )
 
 // VehicleKind selects the airframe dynamics model.
@@ -72,6 +73,8 @@ type UAV struct {
 	GuidanceOverride func(u *UAV, dt float64) geo.ENU
 
 	world *World
+	// pubs are the vehicle's telemetry publishers, advertised by AddUAV.
+	pubs struct{ status, gps, battery, health *rosbus.Publisher }
 }
 
 // ID returns the vehicle id.

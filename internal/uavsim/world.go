@@ -44,8 +44,6 @@ type World struct {
 	// concurrently).
 	airborne atomic.Int64
 
-	pubs map[string]map[string]*rosbus.Publisher // uav -> topic -> pub
-
 	// TelemetryHz is how often telemetry publishes per simulated second
 	// when stepping with StepTelemetry (default 1 Hz).
 	TelemetryHz float64
@@ -73,7 +71,6 @@ func NewWorld(origin geo.LatLng, seed int64) *World {
 		Bus:         rosbus.NewBus(),
 		proj:        geo.NewProjection(origin),
 		uavs:        make(map[string]*UAV),
-		pubs:        make(map[string]map[string]*rosbus.Publisher),
 		TelemetryHz: 1,
 	}
 }
@@ -177,19 +174,20 @@ func (w *World) AddUAV(cfg UAVConfig) (*UAV, error) {
 		}
 	}
 
-	topics := map[string]string{
-		"gps":     gpsTopic(cfg.ID),
-		"battery": batteryTopic(cfg.ID),
-		"health":  healthTopic(cfg.ID),
-		"status":  statusTopic(cfg.ID),
-	}
-	w.pubs[cfg.ID] = make(map[string]*rosbus.Publisher, len(topics))
-	for key, topic := range topics {
-		pub, err := w.Bus.Advertise(topic, cfg.ID)
+	for _, t := range []struct {
+		pub   **rosbus.Publisher
+		topic string
+	}{
+		{&u.pubs.status, statusTopic(cfg.ID)},
+		{&u.pubs.gps, gpsTopic(cfg.ID)},
+		{&u.pubs.battery, batteryTopic(cfg.ID)},
+		{&u.pubs.health, healthTopic(cfg.ID)},
+	} {
+		pub, err := w.Bus.Advertise(t.topic, cfg.ID)
 		if err != nil {
 			return nil, err
 		}
-		w.pubs[cfg.ID][key] = pub
+		*t.pub = pub
 	}
 	return u, nil
 }
@@ -349,7 +347,7 @@ func (w *World) CurrentWind() geo.ENU { return w.Wind.Add(w.gust) }
 func (w *World) publishTelemetry(now float64) {
 	for _, u := range w.seq {
 		id := u.cfg.ID
-		pubs := w.pubs[id]
+		pubs := &u.pubs
 
 		// A severed C2 link (jamming) carries no telemetry: downstream
 		// observers see the topics go silent, which is exactly the
@@ -360,7 +358,7 @@ func (w *World) publishTelemetry(now float64) {
 
 		// Status (IMU/odometry-grade) goes out before the GPS fix so
 		// consumers correlating the two streams see same-tick data.
-		w.countPublish(pubs["status"].Publish(now, StatusReport{
+		w.countPublish(pubs.status.Publish(now, StatusReport{
 			UAV:       id,
 			Mode:      u.Mode(),
 			Position:  u.TruePosition(),
@@ -373,9 +371,9 @@ func (w *World) publishTelemetry(now float64) {
 		// A lost fix is still published, with Quality=GPSLost, so
 		// downstream monitors observe the dropout.
 		fix, _ := u.GPS.Fix(u.TruePosition(), u.AltitudeM(), id, now)
-		w.countPublish(pubs["gps"].Publish(now, fix))
-		w.countPublish(pubs["battery"].Publish(now, u.Battery.State(id, now)))
-		w.countPublish(pubs["health"].Publish(now, HealthState{
+		w.countPublish(pubs.gps.Publish(now, fix))
+		w.countPublish(pubs.battery.Publish(now, u.Battery.State(id, now)))
+		w.countPublish(pubs.health.Publish(now, HealthState{
 			UAV:          id,
 			Rotors:       u.RotorStates(),
 			FailedRotors: u.FailedRotors(),
