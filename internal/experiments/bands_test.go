@@ -118,6 +118,16 @@ func TestPaperBands(t *testing.T) {
 			t.Fatalf("fig5 seed %d: %v", s, err)
 		}
 		samples["fig5.improvement_pct"] = append(samples["fig5.improvement_pct"], r.ImprovementPct)
+		f7, err := RunFig7(s)
+		if err != nil {
+			t.Fatalf("fig7 seed %d: %v", s, err)
+		}
+		landed, landErr := 0.0, math.Inf(1)
+		if f7.LandedOK {
+			landed, landErr = 1, f7.LandingErrorM
+		}
+		samples["fig7.landed"] = append(samples["fig7.landed"], landed)
+		samples["fig7.landing_error_m"] = append(samples["fig7.landing_error_m"], landErr)
 	}
 
 	spec := cfg.Campaign

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -159,20 +160,11 @@ func TestFig5BatteryScenario(t *testing.T) {
 // TestSpoofingMitigationChain reproduces §V-C end to end on the
 // platform: spoof -> IDS -> Security EDDI -> ConSerts evidence ->
 // Collaborative Localization -> safe landing; survivors absorb the
-// victim's waypoints.
+// victim's waypoints. The chain is checked at seed 4; the landing
+// precision is a band over a seed sweep, since one seed's error is a
+// lottery ticket that any change to the random streams redraws.
 func TestSpoofingMitigationChain(t *testing.T) {
-	cfg := DefaultConfig()
-	p := buildPlatform(t, cfg, 4, 0)
-	if err := p.StartMission(classicArea(350)); err != nil {
-		t.Fatal(err)
-	}
-	at := p.World.Clock.Now() + 30
-	if err := p.World.ScheduleFault(uavsim.GPSSpoofFault(at, "u2", 135, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RunMission(1500); err != nil {
-		t.Fatal(err)
-	}
+	p := flySpoofChain(t, 4)
 	if !p.Security.Compromised("u2") {
 		t.Fatal("spoofing never detected")
 	}
@@ -180,12 +172,8 @@ func TestSpoofingMitigationChain(t *testing.T) {
 	if victim.Mode() != uavsim.ModeLanded {
 		t.Fatalf("victim mode = %v, want landed", victim.Mode())
 	}
-	st := p.states["u2"]
-	if st.collocCtrl == nil {
+	if p.states["u2"].collocCtrl == nil {
 		t.Fatal("collaborative localization never engaged")
-	}
-	if e := st.collocCtrl.LandingError(); e > 15 {
-		t.Fatalf("landing error %.1f m, want precise", e)
 	}
 	// Victim's waypoints were redistributed to survivors.
 	if _, still := p.Mission().Assignments["u2"]; still {
@@ -201,6 +189,49 @@ func TestSpoofingMitigationChain(t *testing.T) {
 	if !found {
 		t.Fatal("no critical security event recorded")
 	}
+
+	// Landing precision: the nearest-rank p90 of the landing error over
+	// seeds 1..64 (1..16 under -short) stays within 15 m. The code this
+	// band was set on read p90 14.4 m over 64 seeds (p50 11.4 m, 6 seeds
+	// over 15 m; seed 4 alone 14.0 m). A run whose collaborative landing
+	// never engaged counts as infinitely far off.
+	seeds := 64
+	if testing.Short() {
+		seeds = 16
+	}
+	errs := make([]float64, 0, seeds)
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		e := math.Inf(1)
+		if ctrl := flySpoofChain(t, seed).states["u2"].collocCtrl; ctrl != nil {
+			e = ctrl.LandingError()
+		}
+		errs = append(errs, e)
+	}
+	sort.Float64s(errs)
+	rank := func(q float64) float64 { return errs[int(math.Ceil(q*float64(len(errs))))-1] }
+	p90 := rank(0.9)
+	t.Logf("landing error over %d seeds: p50 %.1f m, p90 %.1f m", seeds, rank(0.5), p90)
+	if p90 > 15 {
+		t.Fatalf("landing error p90 %.1f m over %d seeds, want <= 15 m", p90, seeds)
+	}
+}
+
+// flySpoofChain flies the 3-UAV classic mission with u2 spoofed 30 s
+// after the start and returns the platform at the end of the run.
+func flySpoofChain(t *testing.T, seed int64) *Platform {
+	t.Helper()
+	p := buildPlatform(t, DefaultConfig(), seed, 0)
+	if err := p.StartMission(classicArea(350)); err != nil {
+		t.Fatal(err)
+	}
+	at := p.World.Clock.Now() + 30
+	if err := p.World.ScheduleFault(uavsim.GPSSpoofFault(at, "u2", 135, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunMission(1500); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestAccuracyPipelineDescends reproduces the §V-B trigger: at 60 m
