@@ -10,6 +10,7 @@ package ids_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -266,73 +267,76 @@ func FuzzInspectDifferential(f *testing.F) {
 
 // TestRestoreStateRoundTrip restores a mid-stream State into a fresh
 // IDS: State must read back byte-identical, and the restored IDS must
-// then track the original message for message. The stream's stamps
-// never step back: a restored IDS has not swept yet, which is only
-// indistinguishable from the original's last sweep when no stamp
-// behind it can follow.
+// then track the original message for message. On the non-monotone
+// stream stamps step back, so the restored IDS must know the stamp the
+// original last swept for silence, or it sweeps that stamp again.
 func TestRestoreStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	msgs := decodeStream(randomStream(rng, 400, true))
-	cut := len(msgs) / 2
 	cfg := strictConfig()
-	bus := rosbus.NewBus()
-	orig, err := ids.New(bus, mqttlite.NewBroker(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer orig.Close()
-	for _, m := range msgs[:cut] {
-		if err := bus.Deliver(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, monotone := range []bool{true, false} {
+		t.Run(fmt.Sprintf("monotone=%v", monotone), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			msgs := decodeStream(randomStream(rng, 400, monotone))
+			cut := len(msgs) / 2
+			bus := rosbus.NewBus()
+			orig, err := ids.New(bus, mqttlite.NewBroker(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer orig.Close()
+			for _, m := range msgs[:cut] {
+				if err := bus.Deliver(m); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	want, err := json.Marshal(orig.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded ids.State
-	if err := json.Unmarshal(want, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	rbus := rosbus.NewBus()
-	restored, err := ids.New(rbus, mqttlite.NewBroker(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	restored.Restore(decoded)
-	got, err := json.Marshal(restored.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("Restore -> State changed the document:\n got %s\nwant %s", got, want)
-	}
-	for i, m := range msgs[cut:] {
-		if err := bus.Deliver(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := rbus.Deliver(m); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(restored.State(), orig.State()) {
-			t.Fatalf("message %d after restore: the restored IDS diverges", cut+i)
-		}
-	}
-	if !reflect.DeepEqual(restored.Alerts(), orig.Alerts()) {
-		t.Fatal("the restored IDS raised different alerts")
+			want, err := json.Marshal(orig.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded ids.State
+			if err := json.Unmarshal(want, &decoded); err != nil {
+				t.Fatal(err)
+			}
+			rbus := rosbus.NewBus()
+			restored, err := ids.New(rbus, mqttlite.NewBroker(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			restored.Restore(decoded)
+			got, err := json.Marshal(restored.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("Restore -> State changed the document:\n got %s\nwant %s", got, want)
+			}
+			for i, m := range msgs[cut:] {
+				if err := bus.Deliver(m); err != nil {
+					t.Fatal(err)
+				}
+				if err := rbus.Deliver(m); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(restored.State(), orig.State()) {
+					t.Fatalf("message %d after restore: the restored IDS diverges", cut+i)
+				}
+			}
+			if !reflect.DeepEqual(restored.Alerts(), orig.Alerts()) {
+				t.Fatal("the restored IDS raised different alerts")
+			}
+		})
 	}
 
 	// A hand-written document with every key kind round-trips too.
 	doc := ids.State{
-		Alerts:   []ids.Alert{{Type: ids.AlertTeleport, UAV: "u1", Topic: "/uav/u1/gps", Detail: "x", Stamp: 3}},
-		Arrival:  map[string][]float64{"/uav/u1/gps": {1, 2, 3}, "/gcs/cmd": nil},
-		LastSeen: map[string]float64{"/uav/u1/gps": 3, "/uav/u2/status": 0},
-		LastGPS:  map[string]uavsim.GPSFix{"u1": {UAV: "u1", Position: streamHome, Stamp: 3}},
-		LastOdo:  map[string]geo.LatLng{"u2": streamHome},
-		HasOdo:   map[string]bool{"u2": true},
-		LastHit:  map[string]float64{"teleport|u1": 3, "link-silence|": 9, "gps-anomaly|u|x": 1},
+		Alerts:    []ids.Alert{{Type: ids.AlertTeleport, UAV: "u1", Topic: "/uav/u1/gps", Detail: "x", Stamp: 3}},
+		Arrival:   map[string][]float64{"/uav/u1/gps": {1, 2, 3}, "/gcs/cmd": nil},
+		LastSeen:  map[string]float64{"/uav/u1/gps": 3, "/uav/u2/status": 0},
+		LastSweep: 3,
+		LastGPS:   map[string]uavsim.GPSFix{"u1": {UAV: "u1", Position: streamHome, Stamp: 3}},
+		LastOdo:   map[string]geo.LatLng{"u2": streamHome},
+		LastHit:   map[string]float64{"teleport|u1": 3, "link-silence|": 9, "gps-anomaly|u|x": 1},
 	}
 	fresh, err := ids.New(rosbus.NewBus(), mqttlite.NewBroker(), cfg)
 	if err != nil {

@@ -25,7 +25,6 @@ type Oracle struct {
 	lastSweep float64
 	lastGPS   map[string]uavsim.GPSFix
 	lastOdo   map[string]geo.LatLng
-	hasOdo    map[string]bool
 	lastHit   map[string]float64
 }
 
@@ -41,7 +40,6 @@ func NewOracle(cfg Config) *Oracle {
 		lastSeen: make(map[string]float64),
 		lastGPS:  make(map[string]uavsim.GPSFix),
 		lastOdo:  make(map[string]geo.LatLng),
-		hasOdo:   make(map[string]bool),
 		lastHit:  make(map[string]float64),
 	}
 }
@@ -52,13 +50,13 @@ func (o *Oracle) Alerts() []Alert { return append([]Alert(nil), o.alerts...) }
 // State exports the engine's state in the IDS's checkpoint schema.
 func (o *Oracle) State() State {
 	s := State{
-		Alerts:   append([]Alert(nil), o.alerts...),
-		Arrival:  make(map[string][]float64, len(o.arrival)),
-		LastSeen: make(map[string]float64, len(o.lastSeen)),
-		LastGPS:  make(map[string]uavsim.GPSFix, len(o.lastGPS)),
-		LastOdo:  make(map[string]geo.LatLng, len(o.lastOdo)),
-		HasOdo:   make(map[string]bool, len(o.hasOdo)),
-		LastHit:  make(map[string]float64, len(o.lastHit)),
+		Alerts:    append([]Alert(nil), o.alerts...),
+		Arrival:   make(map[string][]float64, len(o.arrival)),
+		LastSeen:  make(map[string]float64, len(o.lastSeen)),
+		LastSweep: o.lastSweep,
+		LastGPS:   make(map[string]uavsim.GPSFix, len(o.lastGPS)),
+		LastOdo:   make(map[string]geo.LatLng, len(o.lastOdo)),
+		LastHit:   make(map[string]float64, len(o.lastHit)),
 	}
 	for k, v := range o.arrival {
 		s.Arrival[k] = append([]float64(nil), v...)
@@ -71,9 +69,6 @@ func (o *Oracle) State() State {
 	}
 	for k, v := range o.lastOdo {
 		s.LastOdo[k] = v
-	}
-	for k, v := range o.hasOdo {
-		s.HasOdo[k] = v
 	}
 	for k, v := range o.lastHit {
 		s.LastHit[k] = v
@@ -161,7 +156,6 @@ func (o *Oracle) Inspect(m rosbus.Message) {
 		o.inspectGPS(m, p)
 	case uavsim.StatusReport:
 		o.lastOdo[p.UAV] = p.Position
-		o.hasOdo[p.UAV] = true
 	}
 }
 
@@ -184,8 +178,8 @@ func (o *Oracle) inspectGPS(m rosbus.Message, fix uavsim.GPSFix) {
 	}
 	o.lastGPS[fix.UAV] = fix
 
-	if o.cfg.GPSDivergenceM > 0 && o.hasOdo[fix.UAV] {
-		div := geo.Haversine(fix.Position, o.lastOdo[fix.UAV])
+	if odo, ok := o.lastOdo[fix.UAV]; ok && o.cfg.GPSDivergenceM > 0 {
+		div := geo.Haversine(fix.Position, odo)
 		if div > o.cfg.GPSDivergenceM {
 			o.raise(Alert{
 				Type:   AlertGPSAnomaly,

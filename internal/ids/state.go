@@ -14,13 +14,13 @@ import (
 // transient within one inspect call and is always empty between ticks
 // (checkpoints are only taken on a quiescent platform).
 type State struct {
-	Alerts   []Alert                  `json:"alerts"`
-	Arrival  map[string][]float64     `json:"arrival"`
-	LastSeen map[string]float64       `json:"last_seen"`
-	LastGPS  map[string]uavsim.GPSFix `json:"last_gps"`
-	LastOdo  map[string]geo.LatLng    `json:"last_odo"`
-	HasOdo   map[string]bool          `json:"has_odo"`
-	LastHit  map[string]float64       `json:"last_hit"`
+	Alerts    []Alert                  `json:"alerts"`
+	Arrival   map[string][]float64     `json:"arrival"`
+	LastSeen  map[string]float64       `json:"last_seen"`
+	LastSweep float64                  `json:"last_sweep"`
+	LastGPS   map[string]uavsim.GPSFix `json:"last_gps"`
+	LastOdo   map[string]geo.LatLng    `json:"last_odo"`
+	LastHit   map[string]float64       `json:"last_hit"`
 }
 
 // State exports the detection state keyed by topic, UAV id and
@@ -30,13 +30,13 @@ func (d *IDS) State() State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := State{
-		Alerts:   append([]Alert(nil), d.alerts...),
-		Arrival:  make(map[string][]float64),
-		LastSeen: make(map[string]float64),
-		LastGPS:  make(map[string]uavsim.GPSFix),
-		LastOdo:  make(map[string]geo.LatLng),
-		HasOdo:   make(map[string]bool),
-		LastHit:  make(map[string]float64),
+		Alerts:    append([]Alert(nil), d.alerts...),
+		Arrival:   make(map[string][]float64),
+		LastSeen:  make(map[string]float64),
+		LastSweep: d.lastSweep,
+		LastGPS:   make(map[string]uavsim.GPSFix),
+		LastOdo:   make(map[string]geo.LatLng),
+		LastHit:   make(map[string]float64),
 	}
 	for _, tt := range d.tracks {
 		if tt.rated {
@@ -52,7 +52,6 @@ func (d *IDS) State() State {
 		}
 		if vt.hasOdo {
 			s.LastOdo[uav] = vt.odo
-			s.HasOdo[uav] = true
 		}
 		for k, hit := range vt.hit {
 			if hit {
@@ -64,9 +63,8 @@ func (d *IDS) State() State {
 }
 
 // Restore overwrites the detection state. Every State that State
-// produced round-trips exactly; odometry without a true HasOdo entry
-// and cooldown keys of unknown alert types are dropped, as no rule
-// reads them.
+// produced round-trips exactly; cooldown keys of unknown alert types
+// are dropped, as no rule reads them.
 func (d *IDS) Restore(s State) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -75,6 +73,7 @@ func (d *IDS) Restore(s State) {
 	d.topics = make(map[string]*topicTrack, len(s.Arrival))
 	d.vehicles = make(map[string]*vehicleTrack, len(s.LastGPS))
 	d.tracks, d.silent = nil, nil
+	d.lastSweep = s.LastSweep
 	for k, v := range s.Arrival {
 		tt := d.track(k)
 		tt.arrival, tt.rated = append([]float64(nil), v...), true
@@ -87,11 +86,9 @@ func (d *IDS) Restore(s State) {
 		vt := d.vehicle(k)
 		vt.gps, vt.hasGPS = v, true
 	}
-	for k, v := range s.HasOdo {
-		if v {
-			vt := d.vehicle(k)
-			vt.odo, vt.hasOdo = s.LastOdo[k], true
-		}
+	for k, v := range s.LastOdo {
+		vt := d.vehicle(k)
+		vt.odo, vt.hasOdo = v, true
 	}
 	for k, v := range s.LastHit {
 		typ, uav, _ := strings.Cut(k, "|")

@@ -17,6 +17,10 @@ import (
 // a fleet fails it. Pool sizes are explicit (not machine-sized) so the
 // ceilings hold on any host. They were measured with go1.24: the
 // race detector allocates differently, and so may other Go releases.
+// The counts also depend on the seed's random draws, not only on the
+// code: the detector allocates per person in view and per detection,
+// so a scene that puts more people under the footprints allocates
+// more. 3/serial reads 54 / 49 / 51 / 53 / 51 at seeds 7..11.
 func TestTickAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -30,11 +34,11 @@ func TestTickAllocCeilings(t *testing.T) {
 		side                 float64
 		ceiling              float64
 	}{
-		{"3/serial", 3, 1, 1, 350, 50},
-		{"3/pooled", 3, 1, 4, 350, 50},
-		{"7/pooled", 7, 1, 4, 350, 121},
-		{"48/pooled", 48, 1, 4, 3000, 794},
-		{"1000/cells16", 1000, 16, 4, 3000, 16601},
+		{"3/serial", 3, 1, 1, 350, 54},
+		{"3/pooled", 3, 1, 4, 350, 54},
+		{"7/pooled", 7, 1, 4, 350, 127},
+		{"48/pooled", 48, 1, 4, 3000, 799},
+		{"1000/cells16", 1000, 16, 4, 3000, 16649},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.uavs >= 1000 && testing.Short() {

@@ -3,13 +3,15 @@
 // substitutes for the wall-clock/Gazebo time base the paper's field
 // trials used: every stochastic component draws from seeded RNG streams
 // owned by the kernel, so an experiment re-runs bit-for-bit for a given
-// seed.
+// seed. Each stream is a 128-bit PCG generator whose state is its whole
+// position, so a checkpoint records the state and a restore sets it.
 package simclock
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 )
 
@@ -21,18 +23,28 @@ type Clock struct {
 	queue   eventQueue
 	seq     uint64 // tie-breaker for same-time events (FIFO)
 	seed    int64
-	streams map[string]*countingSource
-	rands   map[string]*rand.Rand
+	streams map[string]*stream
 }
+
+// stream is one named random stream: its generator and the math/rand
+// handle every component draws through.
+type stream struct {
+	src pcgSource
+	r   *rand.Rand
+}
+
+// pcgSource makes math/rand/v2's PCG a math/rand Source64, so a stream
+// keeps the *rand.Rand handle type and its methods.
+type pcgSource struct{ randv2.PCG }
+
+func (s *pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 
 // New returns a clock starting at t=0 whose random streams derive from
 // seed.
 func New(seed int64) *Clock {
-	return &Clock{
-		seed:    seed,
-		streams: make(map[string]*countingSource),
-		rands:   make(map[string]*rand.Rand),
-	}
+	return &Clock{seed: seed, streams: make(map[string]*stream)}
 }
 
 // Now returns the current simulation time in seconds.
@@ -41,42 +53,16 @@ func (c *Clock) Now() float64 { return c.now }
 // Seed returns the seed the clock's streams derive from.
 func (c *Clock) Seed() int64 { return c.seed }
 
-// countingSource wraps a stream's underlying generator and counts how
-// many times it stepped. math/rand's generator advances exactly one
-// step per Int63 or Uint64 call, so the count alone pins the stream's
-// position: recreating the source from (seed, name) and drawing count
-// values restores the identical state. The wrapper implements
-// rand.Source64 exactly like the wrapped rngSource does, so rand.Rand's
-// method selection — hence every emitted sequence — is unchanged.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.draws++
-	return s.src.Uint64()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.draws = 0
-	s.src.Seed(seed)
-}
-
-// streamSeed derives the named stream's seed from the clock seed via
-// FNV-1a, the scheme every stream has used since the seed repo.
-func (c *Clock) streamSeed(name string) int64 {
-	var h uint64 = 1469598103934665603 // FNV-1a offset basis
+// reset puts the named stream at its initial state: the PCG seeded
+// with the clock seed and the FNV-1a hash of the name (with the offset
+// basis every stream has used since the seed repo).
+func (c *Clock) reset(s *stream, name string) {
+	var h uint64 = 1469598103934665603
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	return c.seed ^ int64(h)
+	s.src.PCG.Seed(uint64(c.seed), h)
 }
 
 // Stream returns the named random stream, creating it deterministically
@@ -84,14 +70,14 @@ func (c *Clock) streamSeed(name string) int64 {
 // independent streams; the same (seed, name) pair always gives the same
 // sequence.
 func (c *Clock) Stream(name string) *rand.Rand {
-	if r, ok := c.rands[name]; ok {
-		return r
+	if s, ok := c.streams[name]; ok {
+		return s.r
 	}
-	src := &countingSource{src: rand.NewSource(c.streamSeed(name)).(rand.Source64)}
-	r := rand.New(src)
-	c.streams[name] = src
-	c.rands[name] = r
-	return r
+	s := &stream{}
+	c.reset(s, name)
+	s.r = rand.New(&s.src)
+	c.streams[name] = s
+	return s.r
 }
 
 // ShardStreams returns n deterministic sub-streams of the named stream
@@ -109,53 +95,52 @@ func (c *Clock) ShardStreams(name string, n int) []*rand.Rand {
 	return out
 }
 
-// StreamState records one named stream's position as the number of
-// generator steps consumed since creation.
+// StreamState records one named stream's position: its generator's
+// state in the PCG's binary encoding.
 type StreamState struct {
 	Name  string `json:"name"`
-	Draws uint64 `json:"draws"`
+	State []byte `json:"state"`
 }
 
-// StreamStates returns every created stream's position, sorted by name
+// StreamStates returns every created stream's state, sorted by name
 // for deterministic serialization.
 func (c *Clock) StreamStates() []StreamState {
 	states := make([]StreamState, 0, len(c.streams))
-	for name, src := range c.streams {
-		states = append(states, StreamState{Name: name, Draws: src.draws})
+	for name, s := range c.streams {
+		b, _ := s.src.MarshalBinary() // cannot fail
+		states = append(states, StreamState{Name: name, State: b})
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
 	return states
 }
 
-// RestoreStreams repositions every stream to the recorded draw count.
-// Existing stream objects are reset IN PLACE rather than replaced:
+// RestoreStreams sets every stream to its recorded state, in O(1) per
+// stream. Existing streams are reset IN PLACE rather than replaced:
 // components that captured a *rand.Rand at construction (GPS
 // receivers, the detector) keep their handles, and those handles emit
 // exactly the values the original clock would have emitted had it kept
-// running. Existing streams absent from states are rewound to zero
-// draws — the original run had not touched them by the checkpoint, so
-// first use must see a fresh sequence.
-func (c *Clock) RestoreStreams(states []StreamState) {
-	want := make(map[string]uint64, len(states))
-	for _, st := range states {
-		want[st.Name] = st.Draws
-	}
-	for name, src := range c.streams {
-		src.Seed(c.streamSeed(name))
-		for src.draws < want[name] {
-			src.Uint64()
+// running. Existing streams absent from states go back to their
+// initial state — the original run had not created them by the
+// checkpoint, so first use must see a fresh sequence. A missing or
+// malformed state is an error, and then no stream changes.
+func (c *Clock) RestoreStreams(states []StreamState) error {
+	pcgs := make([]randv2.PCG, len(states))
+	for i, st := range states {
+		if len(st.State) == 0 {
+			return fmt.Errorf("simclock: stream %q has no generator state (a checkpoint from before PCG streams)", st.Name)
+		}
+		if err := pcgs[i].UnmarshalBinary(st.State); err != nil {
+			return fmt.Errorf("simclock: stream %q: %w", st.Name, err)
 		}
 	}
-	for _, st := range states {
-		if _, ok := c.streams[st.Name]; ok {
-			continue
-		}
+	for name, s := range c.streams {
+		c.reset(s, name)
+	}
+	for i, st := range states {
 		c.Stream(st.Name)
-		src := c.streams[st.Name]
-		for src.draws < st.Draws {
-			src.Uint64()
-		}
+		c.streams[st.Name].src.PCG = pcgs[i]
 	}
+	return nil
 }
 
 // SetNow jumps the clock to t without running events. It is the restore

@@ -1,7 +1,12 @@
 package simclock
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -164,43 +169,70 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
-// TestCountingSourceSequencesUnchanged pins the stream sequences against
-// the raw generator the seed repo used: wrapping the source to count
-// draws must not change a single emitted value, for every rand.Rand
-// method the codebase uses.
-func TestCountingSourceSequencesUnchanged(t *testing.T) {
-	const seed = 42
-	c := New(seed)
+// fnv1a is the stream-name hash, as the clock computes it.
+func fnv1a(name string) uint64 {
 	var h uint64 = 1469598103934665603
-	for _, b := range []byte("wind") {
-		h ^= uint64(b)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	raw := rand.New(rand.NewSource(seed ^ int64(h)))
-	got := c.Stream("wind")
-	for i := 0; i < 500; i++ {
-		switch i % 5 {
-		case 0:
-			if a, b := got.Float64(), raw.Float64(); a != b {
-				t.Fatalf("Float64 #%d: %v != %v", i, a, b)
-			}
-		case 1:
-			if a, b := got.NormFloat64(), raw.NormFloat64(); a != b {
-				t.Fatalf("NormFloat64 #%d: %v != %v", i, a, b)
-			}
-		case 2:
-			if a, b := got.Intn(97), raw.Intn(97); a != b {
-				t.Fatalf("Intn #%d: %v != %v", i, a, b)
-			}
-		case 3:
-			if a, b := got.Int63(), raw.Int63(); a != b {
-				t.Fatalf("Int63 #%d: %v != %v", i, a, b)
-			}
-		case 4:
-			if a, b := got.Uint64(), raw.Uint64(); a != b {
-				t.Fatalf("Uint64 #%d: %v != %v", i, a, b)
+	return h
+}
+
+// TestStreamSequencesPinned pins a stream's generator and its first
+// values for every rand.Rand method the codebase draws with: a change
+// here moves every digest. The raw words are math/rand/v2's PCG seeded
+// with (clock seed, FNV-1a of the name).
+func TestStreamSequencesPinned(t *testing.T) {
+	raw := randv2.NewPCG(42, fnv1a("wind"))
+	got := New(42).Stream("wind")
+	for i := 0; i < 100; i++ {
+		if a, b := got.Uint64(), raw.Uint64(); a != b {
+			t.Fatalf("Uint64 #%d: %d != PCG %d", i, a, b)
+		}
+	}
+	for _, tc := range []struct {
+		method string
+		draw   func(r *rand.Rand) any
+		want   []any
+	}{
+		{"Uint64", func(r *rand.Rand) any { return r.Uint64() },
+			[]any{uint64(9616616433208466566), uint64(16381614513917250018), uint64(14218216227398804014)}},
+		{"Int63", func(r *rand.Rand) any { return r.Int63() },
+			[]any{int64(4808308216604233283), int64(8190807256958625009), int64(7109108113699402007)}},
+		{"Float64", func(r *rand.Rand) any { return r.Float64() },
+			[]any{0.5213178214422212, 0.8880491022404576, 0.7707710461307218}},
+		{"NormFloat64", func(r *rand.Rand) any { return r.NormFloat64() },
+			[]any{-1.2744510827202595, -0.2272530327309108, -0.8277076197109697}},
+		{"Intn", func(r *rand.Rand) any { return r.Intn(97) },
+			[]any{70, 0, 32}},
+	} {
+		r := New(42).Stream("wind")
+		for i, w := range tc.want {
+			if v := tc.draw(r); v != w {
+				t.Errorf("%s #%d = %v, want %v", tc.method, i, v, w)
 			}
 		}
+	}
+	p := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	New(42).Stream("wind").Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	if want := []int{2, 1, 3, 0, 5, 7, 6, 4}; !slices.Equal(p, want) {
+		t.Errorf("Shuffle = %v, want %v", p, want)
+	}
+}
+
+// TestStreamDrawsDoNotAllocate: a draw steps the PCG in place; neither
+// the generator nor the math/rand adapter allocates.
+func TestStreamDrawsDoNotAllocate(t *testing.T) {
+	r := New(7).Stream("gps/u1")
+	if n := testing.AllocsPerRun(100, func() {
+		r.Uint64()
+		r.Int63()
+		r.Float64()
+		r.NormFloat64()
+		r.Intn(97)
+	}); n != 0 {
+		t.Fatalf("%v allocations per round of draws, want 0", n)
 	}
 }
 
@@ -223,7 +255,9 @@ func TestStreamStateRestore(t *testing.T) {
 	}
 
 	restored := New(99)
-	restored.RestoreStreams(states)
+	if err := restored.RestoreStreams(states); err != nil {
+		t.Fatal(err)
+	}
 	rg := restored.Stream("world/gust")
 	rp := restored.Stream("uav/gps")
 	for i := 0; i < 64; i++ {
@@ -285,7 +319,9 @@ func TestRestoreStreamsKeepsCapturedHandles(t *testing.T) {
 	replay := New(99)
 	captured := replay.Stream("gps/u1") // handle taken BEFORE restore
 	captured.NormFloat64()              // and already advanced differently
-	replay.RestoreStreams(states)
+	if err := replay.RestoreStreams(states); err != nil {
+		t.Fatal(err)
+	}
 	for i, w := range want {
 		if got := captured.NormFloat64(); got != w {
 			t.Fatalf("captured handle draw %d: got %v want %v", i, got, w)
@@ -299,7 +335,9 @@ func TestRestoreStreamsKeepsCapturedHandles(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		side.Int63()
 	}
-	fresh.RestoreStreams(nil)
+	if err := fresh.RestoreStreams(nil); err != nil {
+		t.Fatal(err)
+	}
 	if got := side.Int63(); got != first {
 		t.Fatalf("unseen stream must rewind: got %v want %v", got, first)
 	}
@@ -335,22 +373,21 @@ func TestShardStreams(t *testing.T) {
 
 	// Shard i is exactly the "<name>/shard%03d" stream, so a caller can
 	// reach the same sequence by name (and checkpoints capture it).
-	c := New(5)
+	c, dc := New(5), New(5)
 	byName := c.Stream("dets/shard002")
-	direct := New(5).ShardStreams("dets", 4)[2]
+	direct := dc.ShardStreams("dets", 4)[2]
+	initial := streamState(t, New(5), "dets/shard002")
 	for k := 0; k < 8; k++ {
 		if x, y := byName.Int63(), direct.Int63(); x != y {
 			t.Fatalf("shard 2 != named stream at draw %d: %d != %d", k, x, y)
 		}
 	}
-	found := false
-	for _, st := range c.StreamStates() {
-		if st.Name == "dets/shard002" && st.Draws == 8 {
-			found = true
-		}
+	got, want := streamState(t, c, "dets/shard002"), streamState(t, dc, "dets/shard002")
+	if !bytes.Equal(got, want) {
+		t.Errorf("named stream state %x, the shard stream's %x", got, want)
 	}
-	if !found {
-		t.Error("shard stream position missing from StreamStates")
+	if bytes.Equal(got, initial) {
+		t.Error("shard stream state did not move with its draws")
 	}
 
 	// Distinct shards must not emit the same sequence.
@@ -365,4 +402,121 @@ func TestShardStreams(t *testing.T) {
 	if same {
 		t.Error("shards 0 and 1 emitted identical sequences")
 	}
+}
+
+// streamState returns the named stream's recorded state on c, creating
+// the stream if needed.
+func streamState(t *testing.T, c *Clock, name string) []byte {
+	t.Helper()
+	c.Stream(name)
+	for _, st := range c.StreamStates() {
+		if st.Name == name {
+			return st.State
+		}
+	}
+	t.Fatalf("stream %q missing from StreamStates", name)
+	return nil
+}
+
+// TestFleetStreamStatesDistinct: every stream a 10,000-UAV fleet
+// creates starts from its own generator state and draws its own first
+// value, so no two vehicles share a noise sequence.
+func TestFleetStreamStatesDistinct(t *testing.T) {
+	const uavs = 10000
+	c := New(7)
+	names := []string{"world/gust", "platform/detector", "scene", "scenario/scene/0", "linksim/fleet/u1"}
+	for i := 1; i <= uavs; i++ {
+		id := fmt.Sprintf("u%d", i)
+		names = append(names, "gps/"+id, "colloc/"+id)
+	}
+	for _, name := range names {
+		c.Stream(name)
+	}
+	c.ShardStreams("platform/detector", uavs)
+	states := c.StreamStates()
+	if want := len(names) + uavs; len(states) != want {
+		t.Fatalf("%d streams, want %d", len(states), want)
+	}
+	seenState := make(map[string]string, len(states))
+	seenDraw := make(map[uint64]string, len(states))
+	for _, st := range states {
+		if prev, ok := seenState[string(st.State)]; ok {
+			t.Fatalf("streams %q and %q start from the same state", prev, st.Name)
+		}
+		seenState[string(st.State)] = st.Name
+		first := c.Stream(st.Name).Uint64()
+		if prev, ok := seenDraw[first]; ok {
+			t.Fatalf("streams %q and %q draw the same first value", prev, st.Name)
+		}
+		seenDraw[first] = st.Name
+	}
+}
+
+// TestRestoreStreamsRejectsBadState: a missing state (a checkpoint
+// from before PCG streams recorded only draw counts) or a malformed one
+// is an error, and a refused restore leaves every stream where it was.
+func TestRestoreStreamsRejectsBadState(t *testing.T) {
+	c := New(3)
+	c.Stream("gps/u1").Uint64()
+	good := streamState(t, c, "gps/u1")
+	for _, tc := range []struct {
+		name  string
+		state []byte
+	}{
+		{"missing", nil},
+		{"truncated", good[:len(good)-1]},
+		{"bad tag", append([]byte("xyz:"), good[4:]...)},
+		{"too long", append(append([]byte(nil), good...), 0)},
+	} {
+		before := c.StreamStates()
+		states := []StreamState{{Name: "world/gust", State: good}, {Name: "gps/u1", State: tc.state}}
+		if err := c.RestoreStreams(states); err == nil {
+			t.Errorf("%s state: restore succeeded", tc.name)
+		}
+		if after := c.StreamStates(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s state: a refused restore changed the streams", tc.name)
+		}
+	}
+}
+
+func BenchmarkStreamCreate(b *testing.B) {
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("gps/u%d", i+1)
+	}
+	b.ReportAllocs()
+	var c *Clock
+	for i := 0; i < b.N; i++ {
+		if i%len(names) == 0 {
+			c = New(7)
+		}
+		c.Stream(names[i%len(names)])
+	}
+}
+
+// FuzzRestoreStreams: arbitrary bytes as a stream state either restore
+// and read back unchanged, or are refused with the clock untouched;
+// they never panic.
+func FuzzRestoreStreams(f *testing.F) {
+	c := New(1)
+	c.Stream("gps/u1").Uint64()
+	f.Add("gps/u1", c.StreamStates()[0].State)
+	f.Add("gps/u1", []byte(nil))
+	f.Add("new", []byte("pcg:0123456789abcdef"))
+	f.Add("", []byte("pcg:short"))
+	f.Fuzz(func(t *testing.T, name string, state []byte) {
+		c := New(1)
+		c.Stream("gps/u1").Uint64()
+		before := c.StreamStates()
+		if err := c.RestoreStreams([]StreamState{{Name: name, State: state}}); err != nil {
+			if after := c.StreamStates(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("a refused restore changed the streams: %v", err)
+			}
+			return
+		}
+		if got := streamState(t, c, name); !bytes.Equal(got, state) {
+			t.Fatalf("state %x read back as %x", state, got)
+		}
+		c.Stream(name).NormFloat64()
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sesame/internal/geo"
@@ -170,8 +171,8 @@ func TestFleetSize(t *testing.T) {
 
 // TestRestoreDropsExactlyFiredFaults: a fault already due but not yet
 // injected when a checkpoint is taken must still fire after restore.
-// The snapshot carries the injected-fault count; snapshots without it
-// keep the old rule (drop every fault due by the snapshot time).
+// The snapshot carries the injected-fault count, and the restore drops
+// exactly that prefix of the schedule.
 func TestRestoreDropsExactlyFiredFaults(t *testing.T) {
 	build := func() *World {
 		w := buildFleetWorld(t, 2)
@@ -191,8 +192,8 @@ func TestRestoreDropsExactlyFiredFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.FaultsFired == nil || *snap.FaultsFired != 1 {
-		t.Fatalf("FaultsFired = %v, want 1 (the battery fault at t=10)", snap.FaultsFired)
+	if snap.FaultsFired != 1 {
+		t.Fatalf("FaultsFired = %d, want 1 (the battery fault at t=10)", snap.FaultsFired)
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
@@ -202,31 +203,18 @@ func TestRestoreDropsExactlyFiredFaults(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	legacy := back
-	legacy.FaultsFired = nil
-	for _, tc := range []struct {
-		name    string
-		snap    WorldSnapshot
-		commsOK bool
-	}{
-		{"counted", back, false},
-		{"without count", legacy, true},
-	} {
-		w := build()
-		if err := w.RestoreSnapshot(tc.snap); err != nil {
-			t.Fatalf("%s: restore: %v", tc.name, err)
-		}
-		if err := w.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.uavs["u02"].Comms.OK; got != tc.commsOK {
-			t.Errorf("%s: u02 comms OK = %v after one step, want %v", tc.name, got, tc.commsOK)
-		}
-		// Either way both faults are accounted for: injected, or
-		// dropped as already fired.
-		if w.faultsFired != 2 {
-			t.Errorf("%s: faultsFired = %d, want 2", tc.name, w.faultsFired)
-		}
+	w := build()
+	if err := w.RestoreSnapshot(back); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if err := w.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	if w.uavs["u02"].Comms.OK {
+		t.Error("restored: due fault did not fire on the next step")
+	}
+	if w.faultsFired != 2 {
+		t.Errorf("restored: faultsFired = %d, want 2", w.faultsFired)
 	}
 	if err := donor.Step(1); err != nil {
 		t.Fatal(err)
@@ -237,10 +225,20 @@ func TestRestoreDropsExactlyFiredFaults(t *testing.T) {
 
 	// A rebuilt world that already fired more faults than the snapshot
 	// recorded cannot be the recorded run.
-	zero := uint64(0)
 	stale := back
-	stale.FaultsFired = &zero
+	stale.FaultsFired = 0
 	if err := build().RestoreSnapshot(stale); err == nil {
 		t.Error("restore with fewer fired faults than the rebuild succeeded")
+	}
+
+	// A checkpoint from before PCG streams records draw counts, not
+	// generator states: it is refused, never restored wrongly.
+	legacy := back
+	legacy.Streams = nil
+	if err := json.Unmarshal([]byte(`[{"name":"gps/u01","draws":12}]`), &legacy.Streams); err != nil {
+		t.Fatal(err)
+	}
+	if err := build().RestoreSnapshot(legacy); err == nil || !strings.Contains(err.Error(), "no generator state") {
+		t.Errorf("restore of a draw-count checkpoint: err = %v, want a refusal", err)
 	}
 }

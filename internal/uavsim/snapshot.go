@@ -191,9 +191,8 @@ type WorldSnapshot struct {
 	Streams        []simclock.StreamState `json:"streams"`
 	UAVs           []UAVSnapshot          `json:"uavs"`
 	// FaultsFired is how many scheduled faults the recorded run had
-	// injected. Nil in snapshots that predate the field; their restore
-	// falls back to dropping every fault due by Time.
-	FaultsFired *uint64 `json:"faults_fired,omitempty"`
+	// injected.
+	FaultsFired uint64 `json:"faults_fired"`
 }
 
 // Snapshot exports the world state. The clock must be quiescent
@@ -204,7 +203,6 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 	if n := w.Clock.Pending(); n != 0 {
 		return WorldSnapshot{}, fmt.Errorf("uavsim: snapshot with %d pending clock events", n)
 	}
-	fired := w.faultsFired
 	s := WorldSnapshot{
 		Time:           w.Clock.Now(),
 		Seed:           w.Clock.Seed(),
@@ -216,7 +214,7 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 		TelemetryDrops: w.telemetryDrops.Load(),
 		Streams:        w.Clock.StreamStates(),
 		UAVs:           make([]UAVSnapshot, 0, len(w.order)),
-		FaultsFired:    &fired,
+		FaultsFired:    w.faultsFired,
 	}
 	for _, id := range w.order {
 		s.UAVs = append(s.UAVs, w.uavs[id].Snapshot())
@@ -233,20 +231,20 @@ func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	if s.Seed != w.Clock.Seed() {
 		return fmt.Errorf("uavsim: snapshot seed %d != world seed %d", s.Seed, w.Clock.Seed())
 	}
-	if s.FaultsFired != nil {
-		// The rebuild may have injected some of the schedule itself
-		// (faults due during its climb-out); drop only the rest.
-		if *s.FaultsFired < w.faultsFired ||
-			*s.FaultsFired-w.faultsFired > uint64(len(w.faults)) {
-			return fmt.Errorf("uavsim: snapshot fired %d faults, rebuilt world fired %d with %d pending",
-				*s.FaultsFired, w.faultsFired, len(w.faults))
-		}
+	// The rebuild may have injected some of the schedule itself
+	// (faults due during its climb-out); drop only the rest.
+	if s.FaultsFired < w.faultsFired || s.FaultsFired-w.faultsFired > uint64(len(w.faults)) {
+		return fmt.Errorf("uavsim: snapshot fired %d faults, rebuilt world fired %d with %d pending",
+			s.FaultsFired, w.faultsFired, len(w.faults))
 	}
 	if len(s.UAVs) != len(w.order) {
 		return fmt.Errorf("uavsim: snapshot has %d UAVs, world has %d", len(s.UAVs), len(w.order))
 	}
 	if n := w.Clock.Pending(); n != 0 {
 		return fmt.Errorf("uavsim: restore onto a clock with %d pending events", n)
+	}
+	if err := w.Clock.RestoreStreams(s.Streams); err != nil {
+		return err
 	}
 	for _, us := range s.UAVs {
 		u, ok := w.uavs[us.ID]
@@ -263,29 +261,10 @@ func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 	w.GustTauS = s.GustTauS
 	w.TelemetryHz = s.TelemetryHz
 	w.telemetryDrops.Store(s.TelemetryDrops)
-	w.Clock.RestoreStreams(s.Streams)
 	w.Clock.SetNow(s.Time)
 	// The faults the recorded run injected are a prefix of the sorted
-	// schedule; their effects live in the vehicle snapshots. Snapshots
-	// without the count assume every fault due by their time fired,
-	// which misses faults already due at launch but not yet injected.
-	if s.FaultsFired != nil {
-		n := *s.FaultsFired - w.faultsFired
-		w.faults = w.faults[n:]
-		w.faultsFired = *s.FaultsFired
-	} else {
-		w.faultsFired += uint64(w.DropFaultsThrough(s.Time))
-	}
+	// schedule; their effects live in the vehicle snapshots.
+	w.faults = w.faults[s.FaultsFired-w.faultsFired:]
+	w.faultsFired = s.FaultsFired
 	return nil
-}
-
-// DropFaultsThrough removes scheduled faults with At <= t. Faults are
-// kept sorted by At, so this is a prefix cut.
-func (w *World) DropFaultsThrough(t float64) int {
-	n := 0
-	for n < len(w.faults) && w.faults[n].At <= t {
-		n++
-	}
-	w.faults = w.faults[n:]
-	return n
 }
