@@ -148,10 +148,10 @@ func executeRun(spec *Spec, run Run, sc *scratch) (Result, error) {
 	if res.Availability, err = p.Availability(); err != nil {
 		return res, err
 	}
-	// The platform's availability mean is summed in map-iteration order,
-	// so re-executions can differ in the last ULP. Record it at the same
-	// 12-decimal precision the mission digest hashes, keeping journal and
-	// output bytes reproducible across kill/resume.
+	// Record availability at the same 12-decimal precision the mission
+	// digest hashes. The fleet mean is deterministic (summed in sorted
+	// UAV order); the rounding stays because the journal and every
+	// output file carry the value at this precision.
 	res.Availability = math.Round(res.Availability*1e12) / 1e12
 
 	status := p.Status()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,13 +41,13 @@ type paperBand struct {
 	Parent    float64  `json:"parent"`
 }
 
-// bandStatistic reduces a sample with the campaign engine's kernels:
-// "p95" is the nearest-rank 95th percentile, "share_at_least" the
-// share of values >= threshold read off the ECDF.
+// bandStatistic reduces a sample: "p95" is the nearest-rank 95th
+// percentile, "share_at_least" the share of values >= threshold read
+// off the campaign engine's ECDF.
 func bandStatistic(b paperBand, xs []float64) (float64, error) {
 	switch b.Statistic {
 	case "p95":
-		return campaign.Percentile(xs, 0.95), nil
+		return nearestRank(xs, 0.95), nil
 	case "share_at_least":
 		below := 0.0
 		for _, pt := range campaign.ECDF(xs) {
@@ -57,6 +58,39 @@ func bandStatistic(b paperBand, xs []float64) (float64, error) {
 		return 1 - below, nil
 	}
 	return 0, fmt.Errorf("band %s: unknown statistic %q", b.ID, b.Statistic)
+}
+
+// nearestRank is the nearest-rank percentile: the ceil(q·n)-th
+// smallest value, the least value with at least a q share of the
+// sample at or below it. (campaign.Percentile takes floor(q·(n−1)),
+// one rank lower at 64 seeds.)
+func nearestRank(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	// The epsilon keeps q·n from landing a hair above an integer.
+	rank := int(math.Ceil(q*float64(len(s)) - 1e-9))
+	return s[max(rank, 1)-1]
+}
+
+func TestNearestRank(t *testing.T) {
+	seq := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(n - i) // unsorted on purpose
+		}
+		return xs
+	}
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{{1, 1}, {16, 16}, {20, 19}, {64, 61}, {100, 95}} {
+		if got := nearestRank(seq(c.n), 0.95); got != c.want {
+			t.Errorf("p95 of 1..%d = %g, want %g", c.n, got, c.want)
+		}
+	}
 }
 
 // campaignSample reads one field of every result of a fault variant.

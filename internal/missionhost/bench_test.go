@@ -7,7 +7,7 @@ import (
 
 // BenchmarkMissionHost measures the two hot paths of the host: the
 // shared worker pool ticking a fleet of missions (Round) and the
-// lock-free watcher read path (Status on the cached snapshot).
+// lock-free watcher read path (Status on a mission's stored render).
 func BenchmarkMissionHost(b *testing.B) {
 	newBenchHost := func(b *testing.B, missions int) *Host {
 		b.Helper()
@@ -35,7 +35,7 @@ func BenchmarkMissionHost(b *testing.B) {
 		})
 	}
 
-	b.Run("Status/cached", func(b *testing.B) {
+	b.Run("Status/stored-render", func(b *testing.B) {
 		h := newBenchHost(b, 4)
 		h.Round()
 		b.ResetTimer()

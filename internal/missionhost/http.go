@@ -18,7 +18,7 @@ const maxSpecBytes = 1 << 20
 //	GET    /missions              list                      -> []Info
 //	GET    /missions/{id}         directory entry           -> Info
 //	DELETE /missions/{id}         remove                    -> 204
-//	GET    /missions/{id}/status  rendered snapshot (LRU-cached)
+//	GET    /missions/{id}/status  rendered snapshot (one render per snapshot)
 //	GET    /missions/{id}/stream  SSE snapshot stream (drop-oldest)
 func (h *Host) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -142,11 +142,13 @@ func (h *Host) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			data, err := json.Marshal(snap)
+			// The render already ends in the newline that, with the
+			// one after it, closes the SSE event.
+			body, _, err := sub.m.render(snap)
 			if err != nil {
 				return
 			}
-			if _, err := fmt.Fprintf(w, "event: snapshot\nid: %d\ndata: %s\n\n", snap.Seq, data); err != nil {
+			if _, err := fmt.Fprintf(w, "event: snapshot\nid: %d\ndata: %s\n", snap.Seq, body); err != nil {
 				return
 			}
 			fl.Flush()

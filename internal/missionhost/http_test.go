@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -164,17 +165,26 @@ func TestHTTPStream(t *testing.T) {
 		}
 	}()
 
+	// Each frame is exactly "event: snapshot", "id: <seq>", "data:
+	// <json>" and one blank line.
 	sc := bufio.NewScanner(resp.Body)
 	var events int
 	var last Snapshot
+	var frame []string
 	for sc.Scan() && events < 3 {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
+		if frame = append(frame, sc.Text()); len(frame) < 4 {
 			continue
 		}
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
+		if frame[0] != "event: snapshot" || !strings.HasPrefix(frame[2], "data: ") || frame[3] != "" {
+			t.Fatalf("malformed SSE frame %q", frame)
 		}
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(frame[2], "data: ")), &last); err != nil {
+			t.Fatalf("bad SSE payload %q: %v", frame[2], err)
+		}
+		if frame[1] != fmt.Sprintf("id: %d", last.Seq) {
+			t.Fatalf("SSE id line %q for seq %d", frame[1], last.Seq)
+		}
+		frame = frame[:0]
 		events++
 	}
 	<-done

@@ -2,39 +2,47 @@ package missionhost
 
 import "sesame/internal/obsv"
 
-// metrics mirrors the host's atomic counters into an obsv.Registry.
-// A nil registry keeps every method a no-op so unobserved hosts pay
-// nothing on the tick path.
+// metrics holds the host's only copy of its counters and gauges.
+// Counters are registered in the obsv registry when one is configured
+// and standalone otherwise, so Stats counts either way; gauges are nil
+// (no-ops) without a registry.
 type metrics struct {
 	reg      *obsv.Registry
 	live     *obsv.Gauge
 	parked   *obsv.Gauge
 	watchers *obsv.Gauge
 
-	// Counters are nil-safe: a nil handle counts nothing.
-	rounds            *obsv.Counter
-	ticks             *obsv.Counter
-	parksTotal        *obsv.Counter
-	rehydrationsTotal *obsv.Counter
-	sseDropsTotal     *obsv.Counter
-	cacheHitsTotal    *obsv.Counter
-	cacheMissesTotal  *obsv.Counter
+	// rounds is also the eviction clock (Mission.lastAccess).
+	rounds       *obsv.Counter
+	ticks        *obsv.Counter
+	parks        *obsv.Counter
+	rehydrations *obsv.Counter
+	sseDrops     *obsv.Counter
+	cacheHits    *obsv.Counter
+	cacheMisses  *obsv.Counter
 }
 
 func newMetrics(reg *obsv.Registry) *metrics {
-	m := &metrics{reg: reg}
-	if reg == nil {
-		return m
+	counter := func(name, help string) *obsv.Counter {
+		if c := reg.Counter(name, help); c != nil {
+			return c
+		}
+		return new(obsv.Counter)
 	}
-	m.live = reg.Gauge("sesame_missionhost_missions_live", "missions resident in memory")
-	m.parked = reg.Gauge("sesame_missionhost_missions_parked", "missions checkpointed to disk")
-	m.watchers = reg.Gauge("sesame_missionhost_watchers", "open SSE subscriptions")
-	m.rounds = reg.Counter("sesame_missionhost_rounds_total", "host scheduling rounds run")
-	m.ticks = reg.Counter("sesame_missionhost_ticks_total", "mission simulation ticks run")
-	m.parksTotal = reg.Counter("sesame_missionhost_parks_total", "missions parked (checkpoint + evict)")
-	m.rehydrationsTotal = reg.Counter("sesame_missionhost_rehydrations_total", "parked missions rebuilt from checkpoint")
-	m.sseDropsTotal = reg.Counter("sesame_missionhost_sse_dropped_total", "snapshots dropped on full subscriber queues")
-	m.cacheHitsTotal = reg.Counter("sesame_missionhost_cache_hits_total", "rendered-status cache hits")
-	m.cacheMissesTotal = reg.Counter("sesame_missionhost_cache_misses_total", "rendered-status cache misses")
+	m := &metrics{
+		reg:          reg,
+		rounds:       counter("sesame_missionhost_rounds_total", "host scheduling rounds run"),
+		ticks:        counter("sesame_missionhost_ticks_total", "mission simulation ticks run"),
+		parks:        counter("sesame_missionhost_parks_total", "missions parked (checkpoint + evict)"),
+		rehydrations: counter("sesame_missionhost_rehydrations_total", "parked missions rebuilt from checkpoint"),
+		sseDrops:     counter("sesame_missionhost_sse_dropped_total", "snapshots dropped on full subscriber queues"),
+		cacheHits:    counter("sesame_missionhost_cache_hits_total", "status reads served from the stored render"),
+		cacheMisses:  counter("sesame_missionhost_cache_misses_total", "status reads that rendered"),
+	}
+	if reg != nil {
+		m.live = reg.Gauge("sesame_missionhost_missions_live", "missions resident in memory")
+		m.parked = reg.Gauge("sesame_missionhost_missions_parked", "missions checkpointed to disk")
+		m.watchers = reg.Gauge("sesame_missionhost_watchers", "open SSE subscriptions")
+	}
 	return m
 }

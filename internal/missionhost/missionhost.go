@@ -46,8 +46,6 @@ type Config struct {
 	// directory recovers them. "" = fresh temp directory, removed on
 	// Close.
 	ParkDir string
-	// CacheEntries bounds the LRU cache of rendered status JSON. 0 = 1024.
-	CacheEntries int
 	// Observability publishes the host metric families into this
 	// registry; nil disables the layer (Stats still counts).
 	Observability *obsv.Registry
@@ -72,17 +70,13 @@ func (c *Config) normalize() {
 	if c.TickBudget > maxTickBudget {
 		c.TickBudget = maxTickBudget
 	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 1024
-	}
 }
 
 // Snapshot is one published copy-on-write view of a mission. The
 // mission's tick loop builds a fresh Snapshot and swaps an atomic
 // pointer; watchers load the pointer and read immutable data — no
 // lock is shared between the two sides. Seq increases with every
-// publication (ticks and state flips alike) and keys the render
-// cache.
+// publication (ticks and state flips alike).
 type Snapshot struct {
 	Mission string          `json:"mission"`
 	Seq     uint64          `json:"seq"`
@@ -126,23 +120,14 @@ type Stats struct {
 //
 // Lock order: h.mu before any m.mu before any m.subsMu. The tick
 // path holds only its own mission's m.mu; the watcher read path
-// holds neither — it loads the atomic snapshot pointer and consults
-// the (self-locked) render cache.
+// holds neither — it loads the mission's atomic snapshot and render
+// pointers.
 type Host struct {
 	cfg          Config
 	parkRoot     string
 	ownsParkRoot bool
-	cache        *renderCache
 	met          *metrics
-
-	rounds       atomic.Uint64
-	ticks        atomic.Uint64
 	watchers     atomic.Int64
-	parks        atomic.Uint64
-	rehydrations atomic.Uint64
-	sseDrops     atomic.Uint64
-	cacheHits    atomic.Uint64
-	cacheMisses  atomic.Uint64
 
 	mu       sync.RWMutex
 	closed   bool
@@ -164,6 +149,9 @@ type Mission struct {
 	lastAccess atomic.Uint64
 	// snap is the copy-on-write publication point.
 	snap atomic.Pointer[Snapshot]
+	// rendered is the status body of one published snapshot, shared by
+	// every Status read and SSE frame of that snapshot.
+	rendered atomic.Pointer[statusRender]
 
 	mu      sync.Mutex // the tick lock: guards everything below
 	world   *uavsim.World
@@ -229,7 +217,6 @@ func New(cfg Config) (*Host, error) {
 		}
 		h.parkRoot = cfg.ParkDir
 	}
-	h.cache = newRenderCache(cfg.CacheEntries)
 	h.met = newMetrics(cfg.Observability)
 	if err := h.recover(); err != nil {
 		return nil, err
@@ -317,7 +304,7 @@ func (h *Host) Create(spec Spec) (Info, error) {
 	}
 	m := &Mission{host: h, id: spec.ID, spec: spec, subs: make(map[*Subscriber]struct{})}
 	m.world, m.p, m.end = b.world, b.p, b.end
-	m.lastAccess.Store(h.rounds.Load())
+	m.lastAccess.Store(h.met.rounds.Value())
 	m.mu.Lock()
 	m.publishLocked()
 	m.mu.Unlock()
@@ -406,7 +393,8 @@ func (h *Host) infoOf(m *Mission) Info {
 }
 
 // Delete removes a mission: platform closed, subscribers closed,
-// render cache and park directory purged.
+// park directory purged. Its stored render goes with the Mission, so
+// a mission re-created under the same id never serves it.
 func (h *Host) Delete(id string) error {
 	h.mu.Lock()
 	m, ok := h.missions[id]
@@ -430,7 +418,6 @@ func (h *Host) Delete(id string) error {
 	h.publishGaugesLocked()
 	h.mu.Unlock()
 	m.closeSubs()
-	h.cache.drop(id)
 	if err := os.RemoveAll(filepath.Join(h.parkRoot, id)); err != nil {
 		return err
 	}
@@ -453,8 +440,7 @@ func (h *Host) Round() {
 	h.mu.RUnlock()
 	sort.Slice(work, func(i, j int) bool { return work[i].id < work[j].id })
 
-	round := h.rounds.Add(1)
-	h.met.rounds.Inc()
+	round := h.met.rounds.Add(1)
 
 	queue := make(chan *Mission)
 	var wg sync.WaitGroup
@@ -467,9 +453,7 @@ func (h *Host) Round() {
 		go func() {
 			defer wg.Done()
 			for m := range queue {
-				n := m.runBudget()
-				if n > 0 {
-					h.ticks.Add(n)
+				if n := m.runBudget(); n > 0 {
 					h.met.ticks.Add(n)
 				}
 			}
@@ -551,12 +535,59 @@ func (m *Mission) publishLocked() {
 // atomic pointer load.
 func (m *Mission) Snapshot() *Snapshot { return m.snap.Load() }
 
+// statusRender is a status body together with the snapshot it was
+// rendered from.
+type statusRender struct {
+	snap *Snapshot
+	body []byte
+}
+
+// render returns snap as JSON plus a trailing newline. It reuses the
+// stored render only when that was made from this very snapshot
+// pointer, so a stale body is never served; otherwise it renders and
+// stores. hit reports the reuse.
+func (m *Mission) render(snap *Snapshot) (body []byte, hit bool, err error) {
+	if r := m.rendered.Load(); r != nil && r.snap == snap {
+		return r.body, true, nil
+	}
+	body, err = json.Marshal(snap)
+	if err != nil {
+		return nil, false, err
+	}
+	body = append(body, '\n')
+	m.rendered.Store(&statusRender{snap: snap, body: body})
+	return body, false, nil
+}
+
+// Status renders a mission's latest snapshot as JSON plus a trailing
+// newline. This is the watcher hot path: two atomic pointer loads,
+// and a render only on the first read of each published snapshot — no
+// tick lock, no registry write lock.
+func (h *Host) Status(id string) ([]byte, error) {
+	m, ok := h.Mission(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	m.touch()
+	snap := m.Snapshot()
+	if snap == nil {
+		return nil, errors.New("missionhost: " + id + ": no snapshot published")
+	}
+	body, hit, err := m.render(snap)
+	if hit {
+		h.met.cacheHits.Inc()
+	} else {
+		h.met.cacheMisses.Inc()
+	}
+	return body, err
+}
+
 // ID returns the mission's registry name.
 func (m *Mission) ID() string { return m.id }
 
 // touch stamps the mission as accessed this round for the eviction
 // policy.
-func (m *Mission) touch() { m.lastAccess.Store(m.host.rounds.Load()) }
+func (m *Mission) touch() { m.lastAccess.Store(m.host.met.rounds.Value()) }
 
 // ---- Parking: checkpoint to flightrec, release the platform ----
 
@@ -634,8 +665,7 @@ func (m *Mission) parkLocked() error {
 	m.p.Close()
 	m.p, m.world = nil, nil
 	m.parked = true
-	m.host.parks.Add(1)
-	m.host.met.parksTotal.Inc()
+	m.host.met.parks.Inc()
 	return nil
 }
 
@@ -687,8 +717,7 @@ func (m *Mission) rehydrateLocked() (revived bool, err error) {
 	if err := os.RemoveAll(m.parkDir()); err != nil {
 		return true, err
 	}
-	m.host.rehydrations.Add(1)
-	m.host.met.rehydrationsTotal.Inc()
+	m.host.met.rehydrations.Inc()
 	return true, nil
 }
 
@@ -866,13 +895,13 @@ func (h *Host) Stats() Stats {
 	s := Stats{Missions: len(h.missions), Live: h.live, Parked: h.parked}
 	h.mu.RUnlock()
 	s.Watchers = h.watchers.Load()
-	s.Rounds = h.rounds.Load()
-	s.Ticks = h.ticks.Load()
-	s.Parks = h.parks.Load()
-	s.Rehydrations = h.rehydrations.Load()
-	s.SSEDrops = h.sseDrops.Load()
-	s.CacheHits = h.cacheHits.Load()
-	s.CacheMisses = h.cacheMisses.Load()
+	s.Rounds = h.met.rounds.Value()
+	s.Ticks = h.met.ticks.Value()
+	s.Parks = h.met.parks.Value()
+	s.Rehydrations = h.met.rehydrations.Value()
+	s.SSEDrops = h.met.sseDrops.Value()
+	s.CacheHits = h.met.cacheHits.Value()
+	s.CacheMisses = h.met.cacheMisses.Value()
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -243,9 +244,10 @@ func TestEvictionTieBreaksByID(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnTick is the registry edge case from the
-// issue: the render cache is keyed by (mission, seq), so a tick
-// advance must produce a fresh render, never a stale hit.
+// TestCacheInvalidationOnTick: a mission's stored render belongs to
+// one snapshot, so a tick advance must produce a fresh render, never a
+// stale hit, and every body is exactly the snapshot's JSON plus a
+// newline.
 func TestCacheInvalidationOnTick(t *testing.T) {
 	h := newTestHost(t, Config{})
 	if _, err := h.Create(quickSpec("fresh", 1)); err != nil {
@@ -278,26 +280,13 @@ func TestCacheInvalidationOnTick(t *testing.T) {
 	if h.Stats().CacheMisses != 2 {
 		t.Fatalf("tick advance should miss the cache: %+v", h.Stats())
 	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	c := newRenderCache(2)
-	c.put(cacheKey{"a", 1}, []byte("a1"))
-	c.put(cacheKey{"b", 1}, []byte("b1"))
-	c.put(cacheKey{"a", 1}, []byte("a1b")) // update, no growth
-	c.put(cacheKey{"c", 1}, []byte("c1"))  // evicts b (LRU)
-	if _, ok := c.get(cacheKey{"b", 1}); ok {
-		t.Fatal("LRU entry survived over capacity")
+	m, _ := h.Mission("fresh")
+	want, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, ok := c.get(cacheKey{"a", 1}); !ok || string(got) != "a1b" {
-		t.Fatalf("updated entry = %q, %v", got, ok)
-	}
-	c.drop("a")
-	if _, ok := c.get(cacheKey{"a", 1}); ok {
-		t.Fatal("drop left a render behind")
-	}
-	if c.len() != 1 {
-		t.Fatalf("cache len = %d, want 1", c.len())
+	if string(after) != string(want)+"\n" {
+		t.Fatalf("Status body is not the snapshot's JSON plus a newline:\n got %s\nwant %s", after, want)
 	}
 }
 
@@ -418,6 +407,33 @@ func TestDelete(t *testing.T) {
 	}
 	if err := h.Delete("gone"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("second delete = %v", err)
+	}
+	// A mission re-created under a deleted id restarts at the same seq;
+	// its first read must render the new mission, not serve the old
+	// mission's body.
+	if _, err := h.Create(quickSpec("again", 1)); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	old, err := h.Status("again")
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if err := h.Delete("again"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	spec := quickSpec("again", 2)
+	spec.UAVs = 3
+	if _, err := h.Create(spec); err != nil {
+		t.Fatalf("re-create: %v", err)
+	}
+	got, err := h.Status("again")
+	if err != nil {
+		t.Fatalf("Status after re-create: %v", err)
+	}
+	m, _ := h.Mission("again")
+	want, _ := json.Marshal(m.Snapshot())
+	if string(got) != string(want)+"\n" || string(got) == string(old) {
+		t.Fatalf("re-created mission served a stale body:\n got %s\nwant %s", got, want)
 	}
 	// Deleting a parked mission also clears its disk state.
 	if _, err := h.Create(quickSpec("parked-gone", 1)); err != nil {
@@ -564,6 +580,52 @@ func TestHostStatsAndMetricsFamilies(t *testing.T) {
 	if st.Missions != 2 || st.Live != 1 || st.Parked != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// Every Stats counter is its registry family.
+	if _, err := h.Status("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Resume("a"); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := h.Subscribe("b", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		h.Round()
+	}
+	sub.Close()
+	st = h.Stats()
+	vals = reg.CounterValues()
+	for name, got := range map[string]uint64{
+		"sesame_missionhost_rounds_total":       st.Rounds,
+		"sesame_missionhost_ticks_total":        st.Ticks,
+		"sesame_missionhost_parks_total":        st.Parks,
+		"sesame_missionhost_rehydrations_total": st.Rehydrations,
+		"sesame_missionhost_sse_dropped_total":  st.SSEDrops,
+		"sesame_missionhost_cache_hits_total":   st.CacheHits,
+		"sesame_missionhost_cache_misses_total": st.CacheMisses,
+	} {
+		if got == 0 || got != vals[name] {
+			t.Errorf("Stats counter for %s = %d, registry %d", name, got, vals[name])
+		}
+	}
+	// A host without a registry still counts.
+	bare := newTestHost(t, Config{MaxLive: 1})
+	for _, id := range []string{"a", "b"} {
+		if _, err := bare.Create(quickSpec(id, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare.Round()
+	for i := 0; i < 2; i++ {
+		if _, err := bare.Status("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := bare.Stats(); st.Rounds != 1 || st.Ticks == 0 || st.Parks != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("unregistered host stats = %+v", st)
+	}
 }
 
 func TestRoundWorkerPoolTicksAllMissions(t *testing.T) {
@@ -584,7 +646,8 @@ func TestRoundWorkerPoolTicksAllMissions(t *testing.T) {
 
 // TestMissionHostRaceSmoke is the CI race-detector gate: 8 missions
 // ticked for 50 rounds while 32 watchers hammer the lock-free read
-// path and a streaming subscriber drains each mission.
+// path and a streaming subscriber drains each mission. No watcher may
+// ever see a mission's Seq go backwards.
 func TestMissionHostRaceSmoke(t *testing.T) {
 	h := newTestHost(t, Config{Workers: 4, TickBudget: 2, MaxLive: 6})
 	const missions, watchers, rounds = 8, 32, 50
@@ -601,16 +664,35 @@ func TestMissionHostRaceSmoke(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			lastSeq := make(map[string]uint64, missions)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				// Yield between reads, as a watcher waiting on its
+				// connection would: the read path takes no lock, so a
+				// pure spin loop would starve the tick workers of
+				// scheduler time on a machine with few CPUs.
+				runtime.Gosched()
 				id := ids[(w+i)%missions]
-				if _, err := h.Status(id); err != nil && !errors.Is(err, ErrNotFound) {
+				body, err := h.Status(id)
+				if err != nil && !errors.Is(err, ErrNotFound) {
 					t.Errorf("watcher read: %v", err)
 					return
+				}
+				if err == nil {
+					var v struct{ Seq uint64 }
+					if err := json.Unmarshal(body, &v); err != nil {
+						t.Errorf("watcher decode: %v", err)
+						return
+					}
+					if v.Seq < lastSeq[id] {
+						t.Errorf("watcher %d: %s seq went %d -> %d", w, id, lastSeq[id], v.Seq)
+						return
+					}
+					lastSeq[id] = v.Seq
 				}
 				if _, err := h.Info(id); err != nil && !errors.Is(err, ErrNotFound) {
 					t.Errorf("watcher info: %v", err)

@@ -82,8 +82,7 @@ func (m *Mission) notify(snap *Snapshot) {
 		default:
 			select {
 			case <-sub.ch:
-				m.host.sseDrops.Add(1)
-				m.host.met.sseDropsTotal.Inc()
+				m.host.met.sseDrops.Inc()
 			default:
 			}
 			select {

@@ -39,11 +39,13 @@ const OverflowLabel = "other"
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Uint64 }
 
-// Add increments the counter by n. No-op on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
+// Add increments the counter by n and returns the new total. No-op
+// returning 0 on a nil receiver.
+func (c *Counter) Add(n uint64) uint64 {
+	if c == nil {
+		return 0
 	}
+	return c.v.Add(n)
 }
 
 // Inc increments the counter by one.

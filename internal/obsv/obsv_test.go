@@ -35,7 +35,9 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var c *Counter
-	c.Add(3)
+	if c.Add(3) != 0 {
+		t.Error("nil counter Add must return zero")
+	}
 	c.Inc()
 	if c.Value() != 0 {
 		t.Error("nil counter must stay zero")
@@ -96,6 +98,9 @@ func TestCounterGaugeConcurrency(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
+	}
+	if got := c.Add(5); got != workers*per+5 {
+		t.Errorf("Add returned %d, want the new total %d", got, workers*per+5)
 	}
 	if g.Value() != workers*per {
 		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)

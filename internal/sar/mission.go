@@ -3,6 +3,7 @@ package sar
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sesame/internal/geo"
@@ -129,7 +130,9 @@ type AvailabilityTracker struct {
 	start     float64
 	downSince map[string]float64
 	downTotal map[string]float64
-	uavs      map[string]bool
+	// fleet is the tracked UAVs, sorted and distinct. The fleet mean
+	// sums in this order, so it never depends on map iteration.
+	fleet []string
 }
 
 // NewAvailabilityTracker starts tracking at mission time start for the
@@ -138,22 +141,29 @@ func NewAvailabilityTracker(start float64, uavs []string) (*AvailabilityTracker,
 	if len(uavs) == 0 {
 		return nil, errors.New("sar: no UAVs to track")
 	}
-	tr := &AvailabilityTracker{
+	return newAvailabilityTracker(start, uavs), nil
+}
+
+func newAvailabilityTracker(start float64, uavs []string) *AvailabilityTracker {
+	fleet := slices.Clone(uavs)
+	slices.Sort(fleet)
+	return &AvailabilityTracker{
 		start:     start,
 		downSince: make(map[string]float64),
 		downTotal: make(map[string]float64),
-		uavs:      make(map[string]bool, len(uavs)),
+		fleet:     slices.Compact(fleet),
 	}
-	for _, u := range uavs {
-		tr.uavs[u] = true
-	}
-	return tr, nil
+}
+
+func (tr *AvailabilityTracker) tracks(uav string) bool {
+	_, ok := slices.BinarySearch(tr.fleet, uav)
+	return ok
 }
 
 // MarkDown records the UAV becoming unavailable at time t. Repeated
 // calls while down are ignored.
 func (tr *AvailabilityTracker) MarkDown(uav string, t float64) error {
-	if !tr.uavs[uav] {
+	if !tr.tracks(uav) {
 		return fmt.Errorf("sar: unknown UAV %q", uav)
 	}
 	if _, down := tr.downSince[uav]; !down {
@@ -164,7 +174,7 @@ func (tr *AvailabilityTracker) MarkDown(uav string, t float64) error {
 
 // MarkUp records the UAV back in service at time t.
 func (tr *AvailabilityTracker) MarkUp(uav string, t float64) error {
-	if !tr.uavs[uav] {
+	if !tr.tracks(uav) {
 		return fmt.Errorf("sar: unknown UAV %q", uav)
 	}
 	if since, down := tr.downSince[uav]; down {
@@ -176,7 +186,7 @@ func (tr *AvailabilityTracker) MarkUp(uav string, t float64) error {
 
 // Availability returns the UAV's availability over [start, end].
 func (tr *AvailabilityTracker) Availability(uav string, end float64) (float64, error) {
-	if !tr.uavs[uav] {
+	if !tr.tracks(uav) {
 		return 0, fmt.Errorf("sar: unknown UAV %q", uav)
 	}
 	dur := end - tr.start
@@ -194,17 +204,16 @@ func (tr *AvailabilityTracker) Availability(uav string, end float64) (float64, e
 	return av, nil
 }
 
-// FleetAvailability returns the mean availability over the fleet.
+// FleetAvailability returns the mean availability over the fleet,
+// summed in sorted UAV order.
 func (tr *AvailabilityTracker) FleetAvailability(end float64) (float64, error) {
 	var sum float64
-	n := 0
-	for u := range tr.uavs {
+	for _, u := range tr.fleet {
 		a, err := tr.Availability(u, end)
 		if err != nil {
 			return 0, err
 		}
 		sum += a
-		n++
 	}
-	return sum / float64(n), nil
+	return sum / float64(len(tr.fleet)), nil
 }

@@ -260,6 +260,35 @@ func TestAvailabilityTracker(t *testing.T) {
 	}
 }
 
+// TestFleetAvailabilityIsDeterministic: the fleet mean must not depend
+// on map iteration order. Float addition is not associative, so summing
+// these seven availabilities in a varying order yields different last
+// bits.
+func TestFleetAvailabilityIsDeterministic(t *testing.T) {
+	fleet := []string{"u1", "u2", "u3", "u4", "u5", "u6", "u7"}
+	tr, err := NewAvailabilityTracker(0, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range fleet {
+		if err := tr.MarkDown(u, 10*float64(i+1)/3); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.MarkUp(u, 100+float64(i*i)/7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := tr.FleetAvailability(997)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if got, _ := tr.FleetAvailability(997); got != first {
+			t.Fatalf("call %d: fleet availability %v, first call %v", i, got, first)
+		}
+	}
+}
+
 func TestAvailabilityOpenEndedDown(t *testing.T) {
 	tr, _ := NewAvailabilityTracker(0, []string{"u1"})
 	_ = tr.MarkDown("u1", 400)

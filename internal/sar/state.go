@@ -2,6 +2,7 @@ package sar
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"sesame/internal/geo"
@@ -71,13 +72,10 @@ type AvailabilityState struct {
 func (tr *AvailabilityTracker) State() AvailabilityState {
 	s := AvailabilityState{
 		Start:     tr.start,
+		UAVs:      slices.Clone(tr.fleet),
 		DownSince: make(map[string]float64, len(tr.downSince)),
 		DownTotal: make(map[string]float64, len(tr.downTotal)),
 	}
-	for id := range tr.uavs {
-		s.UAVs = append(s.UAVs, id)
-	}
-	sort.Strings(s.UAVs)
 	for k, v := range tr.downSince {
 		s.DownSince[k] = v
 	}
@@ -93,15 +91,7 @@ func RestoreAvailabilityTracker(s AvailabilityState) (*AvailabilityTracker, erro
 	if len(s.UAVs) == 0 {
 		return nil, errors.New("sar: availability state tracks no UAVs")
 	}
-	tr := &AvailabilityTracker{
-		start:     s.Start,
-		downSince: make(map[string]float64, len(s.DownSince)),
-		downTotal: make(map[string]float64, len(s.DownTotal)),
-		uavs:      make(map[string]bool, len(s.UAVs)),
-	}
-	for _, id := range s.UAVs {
-		tr.uavs[id] = true
-	}
+	tr := newAvailabilityTracker(s.Start, s.UAVs)
 	for k, v := range s.DownSince {
 		tr.downSince[k] = v
 	}

@@ -133,12 +133,13 @@ func TestAirborneCountTracksModes(t *testing.T) {
 // TestBatteryPointerRepinned grows the fleet far past the battery
 // store's initial capacity and checks every vehicle's Battery pointer
 // still addresses its own contiguous slot — the invariant AddUAV's
-// re-pinning maintains across reallocations.
+// re-pinning maintains across reallocations. The ids arrive scrambled,
+// so a vehicle's sorted position and its add-order slot differ.
 func TestBatteryPointerRepinned(t *testing.T) {
 	w := newTestWorld(t)
 	var uavs []*UAV
 	for i := 0; i < 40; i++ {
-		uavs = append(uavs, addUAV(t, w, fmt.Sprintf("u%02d", i)))
+		uavs = append(uavs, addUAV(t, w, fmt.Sprintf("u%02d", i*7%40)))
 	}
 	for _, u := range uavs {
 		if u.Battery != &w.fleet.batt[u.idx] {
@@ -159,7 +160,7 @@ func TestFleetSize(t *testing.T) {
 		t.Fatal("empty world must have fleet size 0")
 	}
 	addUAV(t, w, "b")
-	addUAV(t, w, "a") // out-of-order add exercises the resort path
+	addUAV(t, w, "a") // out-of-order add exercises the sorted insert
 	if w.FleetSize() != 2 {
 		t.Fatalf("FleetSize = %d, want 2", w.FleetSize())
 	}

@@ -213,11 +213,11 @@ func (w *World) Snapshot() (WorldSnapshot, error) {
 		TelemetryHz:    w.TelemetryHz,
 		TelemetryDrops: w.telemetryDrops.Load(),
 		Streams:        w.Clock.StreamStates(),
-		UAVs:           make([]UAVSnapshot, 0, len(w.order)),
+		UAVs:           make([]UAVSnapshot, 0, len(w.seq)),
 		FaultsFired:    w.faultsFired,
 	}
-	for _, id := range w.order {
-		s.UAVs = append(s.UAVs, w.uavs[id].Snapshot())
+	for _, u := range w.seq {
+		s.UAVs = append(s.UAVs, u.Snapshot())
 	}
 	return s, nil
 }
@@ -237,8 +237,8 @@ func (w *World) RestoreSnapshot(s WorldSnapshot) error {
 		return fmt.Errorf("uavsim: snapshot fired %d faults, rebuilt world fired %d with %d pending",
 			s.FaultsFired, w.faultsFired, len(w.faults))
 	}
-	if len(s.UAVs) != len(w.order) {
-		return fmt.Errorf("uavsim: snapshot has %d UAVs, world has %d", len(s.UAVs), len(w.order))
+	if len(s.UAVs) != len(w.seq) {
+		return fmt.Errorf("uavsim: snapshot has %d UAVs, world has %d", len(s.UAVs), len(w.seq))
 	}
 	if n := w.Clock.Pending(); n != 0 {
 		return fmt.Errorf("uavsim: restore onto a clock with %d pending events", n)

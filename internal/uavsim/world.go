@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"sesame/internal/geo"
@@ -28,14 +30,12 @@ type World struct {
 
 	proj *geo.Projection
 	uavs map[string]*UAV
-	// fleet is the struct-of-arrays hot-state store (fleet.go);
-	// vehicles lists UAVs by fleet index (add order), seq by sorted id
-	// (the deterministic step order mirrored in order).
-	fleet    fleet
-	vehicles []*UAV
-	seq      []*UAV
-	order    []string // deterministic step order
-	faults   []Fault
+	// fleet is the struct-of-arrays hot-state store (fleet.go), indexed
+	// by UAV.idx (add order); seq lists the UAVs sorted by id, the
+	// deterministic step and snapshot order.
+	fleet  fleet
+	seq    []*UAV
+	faults []Fault
 	// faultsFired counts the faults BeginStep has injected, so a
 	// checkpoint records exactly how far into the schedule the run got.
 	faultsFired uint64
@@ -131,7 +131,7 @@ func (w *World) AddUAV(cfg UAVConfig) (*UAV, error) {
 	}
 	u := &UAV{
 		cfg:    cfg,
-		idx:    len(w.vehicles),
+		idx:    len(w.seq),
 		GPS:    NewGPS(w.Clock.Stream("gps/" + cfg.ID)),
 		Camera: NewCamera(),
 		Comms:  NewComms(),
@@ -149,29 +149,19 @@ func (w *World) AddUAV(cfg UAVConfig) (*UAV, error) {
 	w.fleet.minSpd = append(w.fleet.minSpd, cfg.MinSpeedMS)
 	battCap := cap(w.fleet.batt)
 	w.fleet.batt = append(w.fleet.batt, *batt)
-	w.vehicles = append(w.vehicles, u)
+	w.uavs[cfg.ID] = u
+	// Fleets are normally built in ascending id order, so the insert
+	// is usually an append.
+	i, _ := slices.BinarySearchFunc(w.seq, cfg.ID, func(v *UAV, id string) int { return strings.Compare(v.cfg.ID, id) })
+	w.seq = slices.Insert(w.seq, i, u)
 	if cap(w.fleet.batt) != battCap {
 		// The append moved the contiguous pack store: re-pin every
 		// vehicle's Battery pointer to its new slot.
-		for j, v := range w.vehicles {
-			v.Battery = &w.fleet.batt[j]
+		for _, v := range w.seq {
+			v.Battery = &w.fleet.batt[v.idx]
 		}
 	} else {
 		u.Battery = &w.fleet.batt[u.idx]
-	}
-	w.uavs[cfg.ID] = u
-	// Fleets are normally built in ascending id order; appending keeps
-	// that O(1). Out-of-order adds fall back to a resort.
-	if n := len(w.order); n == 0 || cfg.ID > w.order[n-1] {
-		w.order = append(w.order, cfg.ID)
-		w.seq = append(w.seq, u)
-	} else {
-		w.order = append(w.order, cfg.ID)
-		sort.Strings(w.order)
-		w.seq = w.seq[:0]
-		for _, id := range w.order {
-			w.seq = append(w.seq, w.uavs[id])
-		}
 	}
 
 	for _, t := range []struct {

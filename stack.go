@@ -518,8 +518,8 @@ func LaunchScenario(sc *Scenario, cfg PlatformConfig) (*ScenarioRun, error) {
 type MissionHost = missionhost.Host
 
 // MissionHostConfig bounds a MissionHost: worker pool size, live-set
-// capacity, registry capacity, tick budgets, idle parking and the
-// rendered-status LRU cache.
+// capacity, registry capacity, tick budgets, idle parking, the park
+// directory and the metrics registry.
 type MissionHostConfig = missionhost.Config
 
 // MissionSpec declares one hosted mission: a classic demo fleet, a
