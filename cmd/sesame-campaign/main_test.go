@@ -67,16 +67,22 @@ func TestPrintSpecIsValidSpec(t *testing.T) {
 }
 
 func TestSpecLoadRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, []byte(`{"name":"x","sed_count":3}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	opts, err := parseArgs([]string{"-spec", path, "-print-spec"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(opts, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown field") {
-		t.Fatalf("misspelled spec field not rejected: %v", err)
+	for _, doc := range []string{
+		`{"name":"x","sed_count":3}`,
+		`{"name":"x","SEED_COUNT":3}`, // matches seed_count only when case is ignored
+		`{"name":"x","links":[{"NAME":"nominal"}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts, err := parseArgs([]string{"-spec", path, "-print-spec"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run(opts, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("misspelled spec field in %s not rejected: %v", doc, err)
+		}
 	}
 }
 

@@ -41,6 +41,8 @@ func TestLoadPlan(t *testing.T) {
 	bad := map[string]string{
 		"unknown field":    `{"seed":1,"monitros":[]}`,
 		"trailing data":    `{"seed":1} {"seed":2}`,
+		"case-folded key":  `{"SEED":3}`,
+		"case-folded rule": `{"monitors":[{"MODE":"panic","prob":1}]}`,
 		"unknown mode":     `{"monitors":[{"mode":"crash","prob":1}]}`,
 		"prob above one":   `{"bus":[{"prob":1.5}]}`,
 		"negative prob":    `{"db":[{"prob":-0.1}]}`,

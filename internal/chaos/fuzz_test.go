@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
+	"regexp"
 	"testing"
 
 	"sesame/internal/simclock"
@@ -52,5 +54,33 @@ func FuzzPlanParse(f *testing.F) {
 			len(again.Workers) != len(plan.Workers) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", again, plan)
 		}
+		// ...and spells every key exactly.
+		for _, folded := range foldedKeys(out) {
+			if _, err := LoadPlan(folded); err == nil {
+				t.Fatalf("LoadPlan accepted a case-folded key: %s", folded)
+			}
+		}
 	})
 }
+
+// foldedKeys returns one copy of the canonical JSON document doc per
+// distinct object key, with that key upper-cased: keys that match a
+// field only when case is ignored, which a strict parser must refuse.
+func foldedKeys(doc []byte) [][]byte {
+	var out [][]byte
+	seen := make(map[string]bool)
+	for _, m := range objectKey.FindAllSubmatchIndex(doc, -1) {
+		key := string(doc[m[2]:m[3]])
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		v := append(append([]byte{}, doc[:m[2]]...), bytes.ToUpper(doc[m[2]:m[3]])...)
+		out = append(out, append(v, doc[m[3]:]...))
+	}
+	return out
+}
+
+// objectKey matches an object key in encoding/json output, where every
+// quote inside a string value is escaped.
+var objectKey = regexp.MustCompile(`[{,]"([^"\\]+)":`)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"sesame/internal/scenario"
@@ -12,7 +13,8 @@ import (
 // FuzzParseSpec drives the POST /missions body parser with arbitrary
 // input. Whatever it accepts must validate, and must survive the
 // JSON round trip a park takes (meta.json) back to the same Spec, so a
-// rehydrated mission rebuilds the mission that was created.
+// rehydrated mission rebuilds the mission that was created, and no key
+// of it may be spelled in another case.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		``,
@@ -74,5 +76,33 @@ func FuzzParseSpec(f *testing.F) {
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("round trip changed the spec: %+v -> %+v", s, back)
 		}
+		// Keys are exact, in the spec and in its embedded scenario.
+		for _, folded := range foldedKeys(out) {
+			if _, err := ParseSpec(folded); err == nil {
+				t.Fatalf("ParseSpec accepted a case-folded key: %s", folded)
+			}
+		}
 	})
 }
+
+// foldedKeys returns one copy of the canonical JSON document doc per
+// distinct object key, with that key upper-cased: keys that match a
+// field only when case is ignored, which a strict parser must refuse.
+func foldedKeys(doc []byte) [][]byte {
+	var out [][]byte
+	seen := make(map[string]bool)
+	for _, m := range objectKey.FindAllSubmatchIndex(doc, -1) {
+		key := string(doc[m[2]:m[3]])
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		v := append(append([]byte{}, doc[:m[2]]...), bytes.ToUpper(doc[m[2]:m[3]])...)
+		out = append(out, append(v, doc[m[3]:]...))
+	}
+	return out
+}
+
+// objectKey matches an object key in encoding/json output, where every
+// quote inside a string value is escaped.
+var objectKey = regexp.MustCompile(`[{,]"([^"\\]+)":`)

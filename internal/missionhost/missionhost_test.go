@@ -61,6 +61,8 @@ func TestSpecParseRejects(t *testing.T) {
 	cases := []struct{ name, doc string }{
 		{"unknown field", `{"id":"a","bogus":1}`},
 		{"trailing data", `{"id":"a"} {}`},
+		{"case-folded key", `{"UAVS":2}`},
+		{"case-folded duplicate", `{"uavs":2,"UAVS":4}`},
 		{"bad id", `{"id":"no spaces"}`},
 		{"archetype and scenario", `{"archetype":"maritime_sar","scenario":{"name":"x"}}`},
 		{"classic fields with archetype", `{"archetype":"maritime_sar","uavs":4}`},

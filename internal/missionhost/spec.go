@@ -10,7 +10,6 @@
 package missionhost
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -20,6 +19,7 @@ import (
 	"sesame/internal/eddi"
 	"sesame/internal/platform"
 	"sesame/internal/scenario"
+	"sesame/internal/strictjson"
 	"sesame/internal/uavsim"
 )
 
@@ -72,18 +72,12 @@ const (
 
 var idPattern = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$`)
 
-// ParseSpec decodes a strict mission spec: unknown fields and
-// trailing data are rejected, defaults are filled in, and the result
-// is validated.
+// ParseSpec decodes a mission spec (internal/strictjson), fills in
+// defaults and validates the result.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return s, fmt.Errorf("missionhost: spec: %w", err)
-	}
-	if dec.More() {
-		return s, errors.New("missionhost: spec: trailing data after document")
 	}
 	s.Normalize()
 	return s, s.Validate()

@@ -141,13 +141,11 @@ func TestDegradedCommsDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestLostLinkWatchdogLandsInPlace covers the conservative contingency:
-// with LostLinkLand set and a permanent link loss, the watchdog lands
-// the vehicle where it is and the link stays flagged lost.
-func TestLostLinkWatchdogLandsInPlace(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LostLinkLand = true
-	p := buildPlatform(t, cfg, 31, 0)
+// TestLostLinkWatchdogReturnsHome covers the lost-link contingency
+// under a permanent link loss: the watchdog returns the vehicle to
+// base, where it lands, and the link stays flagged lost.
+func TestLostLinkWatchdogReturnsHome(t *testing.T) {
+	p := buildPlatform(t, DefaultConfig(), 31, 0)
 	layer := attachLinkLayer(p)
 	if err := p.StartMission(classicArea(300)); err != nil {
 		t.Fatal(err)
@@ -162,26 +160,25 @@ func TestLostLinkWatchdogLandsInPlace(t *testing.T) {
 		t.Error("u2 lostLink must stay latched under a permanent outage")
 	}
 	if mode := st.uav.Mode(); mode != uavsim.ModeLanded {
-		t.Errorf("u2 mode = %v, want landed in place", mode)
+		t.Errorf("u2 mode = %v, want landed at base", mode)
 	}
-	// Landing in place, the vehicle must not have come home.
 	home := st.uav.Home()
-	if d := geo.Haversine(st.uav.TruePosition(), home); d < 50 {
-		t.Errorf("u2 landed %0.f m from base; land-in-place expected far from home", d)
+	if d := geo.Haversine(st.uav.TruePosition(), home); d > 50 {
+		t.Errorf("u2 landed %.0f m from base; return to base expected within 50 m", d)
 	}
 	found := false
 	for _, ev := range p.Coordinator.History("u2") {
-		if strings.HasPrefix(ev.Summary, "lost link:") && strings.Contains(ev.Summary, "land in place") {
+		if strings.HasPrefix(ev.Summary, "lost link:") && strings.Contains(ev.Summary, "return to base") {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("land-in-place watchdog event missing")
+		t.Error("return-to-base watchdog event missing")
 	}
 	status := p.Status()
 	for _, us := range status.UAVs {
 		if us.ID == "u2" {
-			if !us.LinkLost || us.TelemetryAgeS <= cfg.LostLinkWindowS {
+			if !us.LinkLost || us.TelemetryAgeS <= lostLinkWindowS {
 				t.Errorf("u2 status = lost:%v age:%.0f, want latched stale link", us.LinkLost, us.TelemetryAgeS)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strconv"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"sesame/internal/conserts"
 	"sesame/internal/detection"
 	"sesame/internal/geo"
+	"sesame/internal/obsv"
 	"sesame/internal/safedrones"
 	"sesame/internal/safeml"
 	"sesame/internal/scenario"
@@ -65,6 +67,70 @@ func TestNewValidation(t *testing.T) {
 	bad.SurveyAltitudeM = 0
 	if _, err := New(w, nil, bad); err == nil {
 		t.Error("zero altitude must fail")
+	}
+	for _, o := range []string{"", "not-an-ip", "10.0.0.1:port", "fe80::1%eth0"} {
+		bad := DefaultConfig()
+		bad.Origin = o
+		if _, err := New(w, nil, bad); err == nil {
+			t.Errorf("origin %q must fail", o)
+		}
+	}
+	// A public origin parses: the database refuses each write instead,
+	// as a counted drop.
+	public := DefaultConfig()
+	public.Origin = "203.0.113.5"
+	p, err := New(w, nil, public)
+	if err != nil {
+		t.Fatalf("public origin: %v", err)
+	}
+	p.Close()
+}
+
+// TestConfigDigestCoversConfig holds ConfigDigest to Config: every
+// field that shapes the trajectory moves the digest, the layout and
+// instrumentation fields leave it alone, and each Config field is
+// classified as one or the other, so a new field cannot slip past the
+// digest unnoticed.
+func TestConfigDigestCoversConfig(t *testing.T) {
+	digest := func(c Config) string { return (&Platform{cfg: c}).ConfigDigest() }
+	base := digest(DefaultConfig())
+	shaping := map[string]func(*Config){
+		"SESAME":          func(c *Config) { c.SESAME = false },
+		"SurveyAltitudeM": func(c *Config) { c.SurveyAltitudeM = 50 },
+		"SweepSpacingM":   func(c *Config) { c.SweepSpacingM = 25 },
+		"Visibility":      func(c *Config) { c.Visibility = 0.4 },
+		"UseThermalBelow": func(c *Config) { c.UseThermalBelow = 0.3 },
+		"Origin":          func(c *Config) { c.Origin = "10.0.0.2" },
+		"Scenario":        func(c *Config) { c.Scenario = scenario.Classic(1, 3, 10, 400) },
+	}
+	neutral := map[string]func(*Config){
+		"Workers":       func(c *Config) { c.Workers = 7 },
+		"Cells":         func(c *Config) { c.Cells = 5 },
+		"Observability": func(c *Config) { c.Observability = obsv.NewRegistry() },
+	}
+	// Function-typed fields cannot be digested; the caller keeps them
+	// consistent across a resume.
+	undigestable := map[string]bool{"CoveragePlanner": true, "ExtraMonitors": true}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if shaping[name] == nil && neutral[name] == nil && !undigestable[name] {
+			t.Errorf("Config.%s is not classified for ConfigDigest", name)
+		}
+	}
+	for name, perturb := range shaping {
+		c := DefaultConfig()
+		perturb(&c)
+		if digest(c) == base {
+			t.Errorf("perturbing %s left ConfigDigest unchanged", name)
+		}
+	}
+	for name, perturb := range neutral {
+		c := DefaultConfig()
+		perturb(&c)
+		if digest(c) != base {
+			t.Errorf("perturbing %s changed ConfigDigest", name)
+		}
 	}
 }
 

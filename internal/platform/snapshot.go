@@ -38,49 +38,32 @@ import (
 // differently tuned platform fails fast instead of diverging silently.
 // Workers and Cells are excluded on purpose — the scheduler is
 // bit-identical across pool sizes and cell layouts, so a recording
-// flown under one layout resumes under any other. Function-typed fields (CoveragePlanner, ExtraMonitors)
-// and pure instrumentation (Observability, Recorder) cannot or need
-// not be digested; the caller owns keeping those consistent.
+// flown under one layout resumes under any other. Function-typed
+// fields (CoveragePlanner, ExtraMonitors) cannot be digested and pure
+// instrumentation (Observability) need not be; the caller owns keeping
+// those consistent.
 func (p *Platform) ConfigDigest() string {
 	c := p.cfg
 	blob := struct {
-		SESAME           bool       `json:"sesame"`
-		SurveyAltitudeM  float64    `json:"survey_altitude_m"`
-		DescendAltitudeM float64    `json:"descend_altitude_m"`
-		SweepSpacingM    float64    `json:"sweep_spacing_m"`
-		Visibility       float64    `json:"visibility"`
-		UseThermalBelow  float64    `json:"use_thermal_below"`
-		SafeLandingPoint geo.LatLng `json:"safe_landing_point"`
-		Origin           string     `json:"origin"`
-		LostLinkWindowS  float64    `json:"lost_link_window_s"`
-		LostLinkLand     bool       `json:"lost_link_land"`
-		DBRetryAttempts  int        `json:"db_retry_attempts"`
-		DBRetryBackoffS  float64    `json:"db_retry_backoff_s"`
-		BreakerFailures  int        `json:"breaker_failures"`
-		BreakerCooldownS float64    `json:"breaker_cooldown_s"`
+		SESAME          bool    `json:"sesame"`
+		SurveyAltitudeM float64 `json:"survey_altitude_m"`
+		SweepSpacingM   float64 `json:"sweep_spacing_m"`
+		Visibility      float64 `json:"visibility"`
+		UseThermalBelow float64 `json:"use_thermal_below"`
+		Origin          string  `json:"origin"`
 	}{
-		SESAME:           c.SESAME,
-		SurveyAltitudeM:  c.SurveyAltitudeM,
-		DescendAltitudeM: c.DescendAltitudeM,
-		SweepSpacingM:    c.SweepSpacingM,
-		Visibility:       c.Visibility,
-		UseThermalBelow:  c.UseThermalBelow,
-		SafeLandingPoint: c.SafeLandingPoint,
-		Origin:           c.Origin,
-		LostLinkWindowS:  c.LostLinkWindowS,
-		LostLinkLand:     c.LostLinkLand,
-		DBRetryAttempts:  c.DBRetryAttempts,
-		DBRetryBackoffS:  c.DBRetryBackoffS,
-		BreakerFailures:  c.BreakerFailures,
-		BreakerCooldownS: c.BreakerCooldownS,
+		SESAME:          c.SESAME,
+		SurveyAltitudeM: c.SurveyAltitudeM,
+		SweepSpacingM:   c.SweepSpacingM,
+		Visibility:      c.Visibility,
+		UseThermalBelow: c.UseThermalBelow,
+		Origin:          c.Origin,
 	}
 	data, err := json.Marshal(blob)
 	if err != nil {
 		// The blob is plain data; Marshal cannot fail on it.
 		panic(err)
 	}
-	// The scenario digest joins the hash only when a scenario is
-	// attached, so every pre-scenario recording keeps its digest.
 	if c.Scenario != nil {
 		data = append(data, "scenario="+c.Scenario.Digest()...)
 	}
@@ -88,11 +71,10 @@ func (p *Platform) ConfigDigest() string {
 }
 
 // SetRecorder attaches (or, with nil, detaches) the black-box flight
-// recorder after construction. Construction-time attachment via
-// Config.Recorder needs the config digest before the platform exists;
-// this ordering — build the platform, derive ConfigDigest, open the
-// recorder, attach it — is the one external callers use.
-func (p *Platform) SetRecorder(rec *flightrec.Recorder) { p.cfg.Recorder = rec }
+// recorder. It is the only way to attach one: the recorder's header
+// carries ConfigDigest, so callers build the platform, derive the
+// digest, open the recorder and then attach it.
+func (p *Platform) SetRecorder(rec *flightrec.Recorder) { p.rec = rec }
 
 // monitorBlob is one runtime monitor's checkpointed state, keyed by
 // the monitor's chain name so restore matches it back up.
@@ -521,7 +503,6 @@ func (p *Platform) recSkip(n uint64) {
 // of failing the tick; only checkpoint-serialization errors — platform
 // state bugs, not storage faults — still surface to the caller.
 func (p *Platform) recordTick() error {
-	rec := p.cfg.Recorder
 	now := p.World.Clock.Now()
 	if p.recDegraded {
 		p.recSkip(2) // tick + bus summaries
@@ -530,16 +511,16 @@ func (p *Platform) recordTick() error {
 	// The writer copies payloads into its own buffer, so recBuf is
 	// reusable immediately after each Record call.
 	p.recBuf = p.appendTickRecord(p.recBuf[:0], now)
-	if err := rec.RecordTick(p.recBuf); err != nil {
+	if err := p.rec.RecordTick(p.recBuf); err != nil {
 		p.degradeRecorder(now, err)
 		return nil
 	}
 	p.recBuf = p.appendBusRecord(p.recBuf[:0])
-	if err := rec.RecordBus(p.recBuf); err != nil {
+	if err := p.rec.RecordBus(p.recBuf); err != nil {
 		p.degradeRecorder(now, err)
 		return nil
 	}
-	if rec.ShouldSnapshot(p.ticks) {
+	if p.rec.ShouldSnapshot(p.ticks) {
 		p.snapOwed = true
 	}
 	// A checkpoint needs a quiescent clock (delayed link frames cannot
@@ -554,7 +535,7 @@ func (p *Platform) recordTick() error {
 		if err != nil {
 			return err
 		}
-		if err := rec.RecordSnapshot(flightrec.Snapshot{Tick: p.ticks, Time: now, State: state}); err != nil {
+		if err := p.rec.RecordSnapshot(flightrec.Snapshot{Tick: p.ticks, Time: now, State: state}); err != nil {
 			p.degradeRecorder(now, err)
 			return nil
 		}
@@ -602,8 +583,7 @@ func (p *Platform) appendEventRecord(b []byte, ev eddi.Event) []byte {
 // phase). A write error degrades the recorder rather than poisoning
 // the next RecordTick through the writer's sticky error.
 func (p *Platform) recordEvent(ev eddi.Event) {
-	rec := p.cfg.Recorder
-	if rec == nil {
+	if p.rec == nil {
 		return
 	}
 	if p.recDegraded {
@@ -611,15 +591,14 @@ func (p *Platform) recordEvent(ev eddi.Event) {
 		return
 	}
 	p.recBuf = p.appendEventRecord(p.recBuf[:0], ev)
-	if err := rec.RecordEvent(p.recBuf); err != nil {
+	if err := p.rec.RecordEvent(p.recBuf); err != nil {
 		p.degradeRecorder(ev.Time, err)
 	}
 }
 
 // recordFault marks a fault/attack/contingency in the recording.
 func (p *Platform) recordFault(now float64, uav, kind, detail string) {
-	rec := p.cfg.Recorder
-	if rec == nil {
+	if p.rec == nil {
 		return
 	}
 	if p.recDegraded {
@@ -627,7 +606,7 @@ func (p *Platform) recordFault(now float64, uav, kind, detail string) {
 		return
 	}
 	if data, err := json.Marshal(faultRecord{Time: now, UAV: uav, Kind: kind, Detail: detail}); err == nil {
-		if err := rec.RecordFault(data); err != nil {
+		if err := p.rec.RecordFault(data); err != nil {
 			p.degradeRecorder(now, err)
 		}
 	}
@@ -635,8 +614,7 @@ func (p *Platform) recordFault(now float64, uav, kind, detail string) {
 
 // recordAdvice marks a fused flight-action change in the recording.
 func (p *Platform) recordAdvice(now float64, uav, action string) {
-	rec := p.cfg.Recorder
-	if rec == nil {
+	if p.rec == nil {
 		return
 	}
 	if p.recDegraded {
@@ -644,7 +622,7 @@ func (p *Platform) recordAdvice(now float64, uav, action string) {
 		return
 	}
 	if data, err := json.Marshal(adviceRecord{Time: now, UAV: uav, Action: action}); err == nil {
-		if err := rec.RecordAdvice(data); err != nil {
+		if err := p.rec.RecordAdvice(data); err != nil {
 			p.degradeRecorder(now, err)
 		}
 	}

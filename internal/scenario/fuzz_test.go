@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"regexp"
 	"testing"
 )
 
@@ -9,7 +11,8 @@ import (
 // contract under fuzz: Load never panics, and anything it accepts is
 // fully valid — it re-validates, re-serializes, and reloads to an
 // identical digest (no parse/serialize asymmetry a campaign manifest
-// could smuggle state through).
+// could smuggle state through); and no key of it may be spelled in
+// another case.
 func FuzzScenarioParse(f *testing.F) {
 	seeds := [][]byte{
 		[]byte(``),
@@ -52,5 +55,32 @@ func FuzzScenarioParse(f *testing.F) {
 		if back.Digest() != sc.Digest() {
 			t.Fatalf("round trip changed digest: %s != %s", back.Digest(), sc.Digest())
 		}
+		for _, folded := range foldedKeys(out) {
+			if _, err := Load(folded); err == nil {
+				t.Fatalf("Load accepted a case-folded key: %s", folded)
+			}
+		}
 	})
 }
+
+// foldedKeys returns one copy of the canonical JSON document doc per
+// distinct object key, with that key upper-cased: keys that match a
+// field only when case is ignored, which a strict parser must refuse.
+func foldedKeys(doc []byte) [][]byte {
+	var out [][]byte
+	seen := make(map[string]bool)
+	for _, m := range objectKey.FindAllSubmatchIndex(doc, -1) {
+		key := string(doc[m[2]:m[3]])
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		v := append(append([]byte{}, doc[:m[2]]...), bytes.ToUpper(doc[m[2]:m[3]])...)
+		out = append(out, append(v, doc[m[3]:]...))
+	}
+	return out
+}
+
+// objectKey matches an object key in encoding/json output, where every
+// quote inside a string value is escaped.
+var objectKey = regexp.MustCompile(`[{,]"([^"\\]+)":`)

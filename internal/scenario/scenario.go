@@ -18,7 +18,6 @@
 package scenario
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -28,6 +27,7 @@ import (
 	"sesame/internal/chaos"
 	"sesame/internal/geo"
 	"sesame/internal/linksim"
+	"sesame/internal/strictjson"
 )
 
 // Vehicle kinds. They mirror uavsim.VehicleKind; the empty string
@@ -190,19 +190,13 @@ type Scenario struct {
 	Chaos *chaos.Plan `json:"chaos,omitempty"`
 }
 
-// Load parses and validates a JSON scenario. Unknown fields and
-// trailing data are rejected — the same strictness as chaos.LoadPlan:
-// a typo in a mission description must fail loudly, not silently
-// change the world.
+// Load parses (internal/strictjson) and validates a JSON scenario: a
+// typo in a mission description must fail loudly, not silently change
+// the world.
 func Load(data []byte) (*Scenario, error) {
 	var s Scenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("scenario: parsing: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: parsing: trailing data after scenario object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

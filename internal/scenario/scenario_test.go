@@ -45,6 +45,15 @@ func TestLoadStrictness(t *testing.T) {
 		t.Errorf("unknown field not rejected: %v", err)
 	}
 
+	// Keys match fields exactly: encoding/json alone would load "SEED"
+	// as the seed, at the top level and in nested objects alike.
+	for _, key := range []string{`"seed"`, `"lat"`, `"id"`} {
+		folded := []byte(strings.Replace(string(base), key, strings.ToUpper(key), 1))
+		if _, err := Load(folded); err == nil || !strings.Contains(err.Error(), strings.ToUpper(key)) {
+			t.Errorf("case-folded key %s not rejected: %v", key, err)
+		}
+	}
+
 	// Trailing data after the scenario object fails loudly.
 	if _, err := Load(append(append([]byte{}, base...), []byte("{}")...)); err == nil ||
 		!strings.Contains(err.Error(), "trailing data") {
